@@ -174,36 +174,6 @@ ScaleGate SweepCollectives() {
   return gate;
 }
 
-/// Prices the reduced-precision wire (collectives/wire_format.h) across
-/// cluster sizes: the same 256 KiB fp32 bucket crossing the leader chain
-/// as 4-byte fp32 vs 2-byte bf16 elements, via both the closed-form
-/// alpha-beta pricer (ChainAllreduceWireCost) and the segment-level DES
-/// recurrence (DesChainAllreduceWireTime). The wire halves the beta term
-/// only — the latency term is unchanged — so the speedup approaches 2x in
-/// the bandwidth-bound regime and shrinks as latency takes over at scale.
-void SweepWirePrecision() {
-  const NetworkConfig net = SweepNet();
-  PrintSection(
-      "Precision sweep: fp32 vs bf16 wire, chain allreduce, 256 KiB bucket");
-  ReportTable tbl({"nodes", "ranks", "fp32 des (ms)", "bf16 des (ms)",
-                   "fp32 model (ms)", "bf16 model (ms)", "des speedup"});
-  for (int nodes : kSweepNodes) {
-    const ClusterTopology topo = ClusterTopology::Make(nodes, kDevicesPerNode);
-    const double fp32_des = DesChainAllreduceWireTime(topo, net, kBucketBytes,
-                                                      kSweepSegments);
-    const double bf16_des = DesChainAllreduceWireTime(
-        topo, net, kBucketBytes / 2.0, kSweepSegments);
-    const double fp32_model = ChainAllreduceWireCost(topo, net, kBucketBytes);
-    const double bf16_model =
-        ChainAllreduceWireCost(topo, net, kBucketBytes / 2.0);
-    tbl.AddRow({Fmt(nodes, "%.0f"), Fmt(topo.world_size(), "%.0f"),
-                Fmt(fp32_des * 1e3, "%.3f"), Fmt(bf16_des * 1e3, "%.3f"),
-                Fmt(fp32_model * 1e3, "%.3f"), Fmt(bf16_model * 1e3, "%.3f"),
-                Fmt(fp32_des / bf16_des, "%.2fx")});
-  }
-  tbl.Print();
-}
-
 int WriteScaleJson(const std::string& path, bool quick,
                    const ScaleGate& gate) {
   std::fprintf(stdout,
@@ -254,7 +224,6 @@ int main(int argc, char** argv) {
     bagua::Run("vgg16");
   }
   const bagua::ScaleGate gate = bagua::SweepCollectives();
-  bagua::SweepWirePrecision();
   if (!args.scale_json.empty()) {
     return bagua::WriteScaleJson(args.scale_json, args.quick, gate);
   }

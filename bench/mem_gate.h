@@ -15,7 +15,7 @@
 #include "base/logging.h"
 #include "base/rng.h"
 #include "base/sync.h"
-#include "compress/fp16.h"
+#include "compress/half.h"
 #include "compress/sketch.h"
 #include "compress/topk.h"
 #include "core/runtime.h"
@@ -246,9 +246,11 @@ inline MemGateReport RunMemGateMeasurement(bool quick) {
     for (auto& v : in) v = static_cast<float>(rng.Normal());
     const TopKCompressor topk(0.05);
     const CountSketchCompressor sketch(8.0);
-    // fp16's Decompress stages the unaligned wire payload through the
-    // compress arena before the vectorized widen — same zero-miss rule.
-    const Fp16Compressor fp16;
+    // The 16-bit codecs' Decompress stages the unaligned wire payload
+    // through the compress arena before the vectorized widen — same
+    // zero-miss rule.
+    const HalfCompressor fp16(WireDtype::kFp16);
+    const HalfCompressor bf16(WireDtype::kBf16);
     std::vector<uint8_t> payload;
     auto roundtrip = [&](const Compressor& codec) {
       BAGUA_CHECK(codec.Compress(in.data(), n, nullptr, &payload).ok());
@@ -259,12 +261,14 @@ inline MemGateReport RunMemGateMeasurement(bool quick) {
     roundtrip(topk);
     roundtrip(sketch);
     roundtrip(fp16);
+    roundtrip(bf16);
     const uint64_t before = TotalArenaMisses();
     const int reps = quick ? 4 : 16;
     for (int r = 0; r < reps; ++r) {
       roundtrip(topk);
       roundtrip(sketch);
       roundtrip(fp16);
+      roundtrip(bf16);
     }
     rep.train_arena_misses_steady += TotalArenaMisses() - before;
   }

@@ -15,7 +15,9 @@
 #include "base/parallel.h"
 #include "base/rng.h"
 #include "base/sync.h"
-#include "collectives/wire_format.h"
+#include "comm/context.h"
+#include "comm/primitives.h"
+#include "compress/half.h"
 #include "model/optimizer.h"
 #include "sim/topology.h"
 #include "tensor/dtype.h"
@@ -34,20 +36,21 @@ namespace bagua {
 ///     vectorized batch kernels in tensor/convert.cc vs the frozen naive
 ///     scalars in tensor/reference.cc), with the outputs bitwise equal
 ///     (convert_matches_reference == 1),
-///   * wire_speedup >= 1.4: the bf16-wire pipelined chain allreduce vs
-///     the fp32-wire chain on the same inputs under WireDelayTransport,
-///     which charges real alpha-beta wall time per delivered payload —
-///     half the bytes on the wire must show up as wall-clock, net of the
-///     pack/unpack compute the reduced wire adds,
+///   * wire_speedup >= 1.4: the bf16 allreduce (C_LP_S with the bf16
+///     codec, compress/half.h) vs the default fp32 C_FP_S on the same 4
+///     ranks and inputs under WireDelayTransport, which charges real
+///     alpha-beta wall time per delivered payload — half the bytes on the
+///     wire must show up as wall-clock, net of the pack/unpack compute the
+///     codec adds,
 ///   * train_bitwise_identical == 1: bf16 training (SGD with momentum and
-///     Adam behind MixedPrecisionOptimizer's fp32 master weights)
-///     produces byte-identical parameter trajectories at 1/2/8 intra-op
-///     threads and across the flat-chain, hierarchical, and tree wire
-///     collectives (the canonical requantization-chain contract of
-///     collectives/wire_format.h), and
+///     Adam behind MixedPrecisionOptimizer's fp32 master weights, the
+///     gradient summed by the bf16 C_LP_S) produces byte-identical
+///     parameters on every rank and at 1/2/8 intra-op threads, on a flat
+///     and on a 2x2 hierarchical topology (bitwise within each topology),
+///     and
 ///   * arena_misses_steady == 0 and pool_misses_steady == 0: once warm,
-///     the bf16 wire path serves every payload and every convert scratch
-///     from recycled memory.
+///     the bf16 path serves every payload and every codec/reduction
+///     scratch from recycled memory.
 
 struct PrecisionGateReport {
   double convert_bf16_speedup = 0.0;
@@ -77,34 +80,53 @@ inline double MinOfRepsMs(int reps, const std::function<void()>& fn) {
   return best;
 }
 
-/// One world-sized wire allreduce; `space` must be fresh per call.
-inline void WireRun(TransportGroup* group, int world, WireDtype wire,
-                    std::vector<std::vector<float>>* data, size_t n,
-                    uint32_t space) {
-  std::vector<int> ranks(world);
-  for (int r = 0; r < world; ++r) ranks[r] = r;
-  ParallelFor(static_cast<size_t>(world), [&](size_t r) {
-    BAGUA_CHECK(ChainAllreduceWire(group, ranks, static_cast<int>(r), space,
-                                   wire, (*data)[r].data(), n)
+/// One rank context per member of `world`, all flat or all hierarchical.
+inline std::vector<CommContext> RankContexts(CommWorld* world,
+                                             bool hierarchical) {
+  std::vector<CommContext> ctx(static_cast<size_t>(world->world_size()));
+  for (size_t r = 0; r < ctx.size(); ++r) {
+    ctx[r].world = world;
+    ctx[r].rank = static_cast<int>(r);
+    ctx[r].hierarchical = hierarchical;
+  }
+  return ctx;
+}
+
+/// One allreduce on every rank: the default fp32 C_FP_S when `codec` is
+/// null, else C_LP_S through `codec`.
+inline void AllreduceRun(std::vector<CommContext>* ctx,
+                         const Compressor* codec,
+                         std::vector<std::vector<float>>* data, size_t n) {
+  ParallelFor(ctx->size(), [&](size_t r) {
+    CommContext* c = &(*ctx)[r];
+    float* x = (*data)[r].data();
+    BAGUA_CHECK((codec == nullptr ? CFpS(c, x, n)
+                                  : CLpS(c, *codec, x, n, nullptr))
                     .ok());
   });
 }
 
-/// A wire-allreduce flavor the training loop runs over: (group, rank,
-/// space, data, n). Chain / hierarchical / tree all realize the same
-/// canonical chain contract, so the trajectories must match bit for bit.
-using WireFn = std::function<Status(TransportGroup*, int, uint32_t, float*,
-                                    size_t)>;
+/// Parks `count` blocks of `bytes` in `arena`: the live-scratch peak of a
+/// collective is scheduling-dependent (how many ranks' scratches overlap),
+/// so warm rounds alone can undershoot a class's worst-case demand.
+inline void PrimeArena(Arena* arena, size_t bytes, int count) {
+  std::vector<std::unique_ptr<ArenaScratch>> prime;
+  for (int k = 0; k < count; ++k) {
+    prime.emplace_back(new ArenaScratch(arena, bytes));
+  }
+}
 
-/// `steps` bf16 training steps on `world` ranks: widen the bf16 params,
-/// form a rank-dependent synthetic gradient, allreduce it over the bf16
-/// wire, average (1/world is exact for world = 4), round the averaged
+/// `steps` bf16 training steps on the ranks of `topo`: widen the bf16
+/// params, form a rank-dependent synthetic gradient, sum it with the bf16
+/// C_LP_S, average (1/world is exact for world = 4), round the averaged
 /// gradient to bf16 storage, and apply it through MixedPrecisionOptimizer
 /// (fp32 master weights). Returns rank 0's final bf16 parameter bits and
 /// reports whether every rank finished with identical bytes.
-inline std::vector<uint16_t> TrainRun(const WireFn& allreduce, int world,
-                                      size_t n, int steps, bool adam,
-                                      bool* all_ranks_equal) {
+inline std::vector<uint16_t> TrainRun(const ClusterTopology& topo,
+                                      bool hierarchical, size_t n, int steps,
+                                      bool adam, bool* all_ranks_equal) {
+  const int world = topo.world_size();
+  const HalfCompressor codec(WireDtype::kBf16);
   std::vector<uint16_t> init16(n);
   {
     std::vector<float> init(n);
@@ -119,7 +141,8 @@ inline std::vector<uint16_t> TrainRun(const WireFn& allreduce, int world,
     for (auto& x : noise[r]) x = static_cast<float>(rng.Normal());
   }
 
-  TransportGroup group(world);
+  CommWorld comm(topo, /*seed=*/7);
+  std::vector<CommContext> ctx = RankContexts(&comm, hierarchical);
   std::vector<std::vector<uint16_t>> params(
       static_cast<size_t>(world), init16);
   std::vector<std::unique_ptr<MixedPrecisionOptimizer>> opts;
@@ -135,7 +158,6 @@ inline std::vector<uint16_t> TrainRun(const WireFn& allreduce, int world,
   }
 
   const float inv_world = 1.0f / static_cast<float>(world);
-  uint32_t space = 300;
   for (int step = 0; step < steps; ++step) {
     ParallelFor(static_cast<size_t>(world), [&](size_t r) {
       std::vector<float> wparam(n), grad32(n);
@@ -145,14 +167,12 @@ inline std::vector<uint16_t> TrainRun(const WireFn& allreduce, int world,
         grad32[i] = 0.05f * wparam[i] + 0.01f * noise[r][i];
       }
       BAGUA_CHECK(
-          allreduce(&group, static_cast<int>(r), space, grad32.data(), n)
-              .ok());
+          CLpS(&ctx[r], codec, grad32.data(), n, nullptr).ok());
       for (size_t i = 0; i < n; ++i) grad32[i] *= inv_world;
       FloatToBf16N(grad32.data(), grad16.data(), n);
       BAGUA_CHECK(
           opts[r]->Step(0, params[r].data(), grad16.data(), n).ok());
     });
-    space += 8;  // chain uses 2 step tags, hier 4 — 8 keeps them disjoint
   }
 
   for (int r = 1; r < world; ++r) {
@@ -228,115 +248,107 @@ inline PrecisionGateReport RunPrecisionGateMeasurement(bool quick) {
             : 0.0;
   }
 
-  // --- bf16 wire vs fp32 wire under a delay-charging transport. ---
-  // 4 ranks, ~4 MB fp32 tensor, 20 us per message + 1 ns per byte
-  // (~1 GB/s links): the chain moves n * eb bytes per sweep per hop, so
-  // halving eb should roughly halve the wall time, minus convert cost.
+  // --- bf16 C_LP_S vs the default fp32 C_FP_S over a delay-charging
+  // transport. ---
+  // 4 flat ranks, 2-4 MB fp32 tensor, 20 us per message + 1 ns per byte
+  // (~1 GB/s links): ScatterReduce moves n * eb / 4 bytes per message, so
+  // halving eb should roughly halve the wire time, minus codec cost.
   {
     const int world = 4;
     const size_t n = quick ? (1u << 19) : (1u << 20);
     const int reps = quick ? 3 : 5;
     const double latency_s = 20e-6;
     const double per_byte_s = 1e-9;
+    const ClusterTopology topo = ClusterTopology::Make(world, 1);
     std::vector<std::vector<float>> golden(world);
     Rng rng(0xb16);
     for (auto& v : golden) {
       v.resize(n);
       for (auto& x : v) x = static_cast<float>(rng.Normal());
     }
+    const HalfCompressor bf16(WireDtype::kBf16);
 
     Arena& comm_arena = MemoryRegistry::Global().ArenaFor("comm");
+    Arena& compress_arena = MemoryRegistry::Global().ArenaFor("compress");
+    auto arena_misses = [&] {
+      return comm_arena.stats().misses + compress_arena.stats().misses;
+    };
 
     // Timed runs reuse the (already reduced) buffers, same as the comm
     // gate: values drift but the data-path cost is identical.
-    uint32_t space = 500;
-    {
-      WireDelayTransport g(world, latency_s, per_byte_s);
+    for (const Compressor* codec : {static_cast<const Compressor*>(nullptr),
+                                    static_cast<const Compressor*>(&bf16)}) {
+      CommWorld comm(topo, /*seed=*/7,
+                     std::make_unique<WireDelayTransport>(world, latency_s,
+                                                          per_byte_s));
+      std::vector<CommContext> ctx = RankContexts(&comm, false);
       auto data = golden;
-      for (int w = 0; w < 8; ++w) {  // warm until a missless round
-        const uint64_t before = g.pool_stats().misses;
-        WireRun(&g, world, WireDtype::kFp32, &data, n, space);
-        space += 4;
-        if (g.pool_stats().misses == before) break;
-      }
-      rep.wire_fp32_ms = MinOfRepsMs(reps, [&] {
-        WireRun(&g, world, WireDtype::kFp32, &data, n, space);
-        space += 4;
-      });
-    }
-    {
-      WireDelayTransport g(world, latency_s, per_byte_s);
-      auto data = golden;
-      // Park one wire-sized scratch block per rank up front — the
-      // live-scratch peak is scheduling-dependent, so warm rounds alone
-      // can undershoot the class's worst-case demand.
+      // Each rank holds ScatterReduce's input copy and its two chunk-sized
+      // reduction scratches at once, plus the codec's decode staging, and
+      // up to 10 partition payloads in the pool: its own two, two receive
+      // buffers and 2 x 3 sends in flight.
+      const size_t chunk = n / world;
+      PrimeArena(&comm_arena, n * sizeof(float), world);
+      PrimeArena(&comm_arena, chunk * sizeof(float), 2 * world);
+      PrimeArena(&compress_arena, chunk * 2, world);
       {
-        std::vector<std::unique_ptr<ArenaScratch>> prime;
-        for (int r = 0; r < world; ++r) {
-          prime.emplace_back(new ArenaScratch(&comm_arena, n * 2));
+        const size_t payload = codec != nullptr
+                                   ? codec->CompressedBytes(chunk)
+                                   : chunk * sizeof(float);
+        std::vector<std::vector<uint8_t>> parked;
+        for (int k = 0; k < 10 * world; ++k) {
+          parked.push_back(comm.group()->AcquireBuffer(payload));
         }
+        for (auto& buf : parked) comm.group()->Recycle(std::move(buf));
       }
-      for (int w = 0; w < 8; ++w) {
-        const uint64_t pool_before = g.pool_stats().misses;
-        const uint64_t arena_before = comm_arena.stats().misses;
-        WireRun(&g, world, WireDtype::kBf16, &data, n, space);
-        space += 4;
-        if (g.pool_stats().misses == pool_before &&
-            comm_arena.stats().misses == arena_before) {
+      for (int w = 0; w < 8; ++w) {  // warm until a missless round
+        const uint64_t pool_before = comm.group()->pool_stats().misses;
+        const uint64_t arena_before = arena_misses();
+        AllreduceRun(&ctx, codec, &data, n);
+        if (comm.group()->pool_stats().misses == pool_before &&
+            arena_misses() == arena_before) {
           break;
         }
       }
-      const uint64_t pool_before = g.pool_stats().misses;
-      const uint64_t arena_before = comm_arena.stats().misses;
-      rep.wire_bf16_ms = MinOfRepsMs(reps, [&] {
-        WireRun(&g, world, WireDtype::kBf16, &data, n, space);
-        space += 4;
-      });
-      rep.pool_misses_steady = g.pool_stats().misses - pool_before;
-      rep.arena_misses_steady = comm_arena.stats().misses - arena_before;
+      const uint64_t pool_before = comm.group()->pool_stats().misses;
+      const uint64_t arena_before = arena_misses();
+      const double ms =
+          MinOfRepsMs(reps, [&] { AllreduceRun(&ctx, codec, &data, n); });
+      if (codec == nullptr) {
+        rep.wire_fp32_ms = ms;
+      } else {
+        rep.wire_bf16_ms = ms;
+        rep.pool_misses_steady =
+            comm.group()->pool_stats().misses - pool_before;
+        rep.arena_misses_steady = arena_misses() - arena_before;
+      }
     }
     rep.wire_speedup =
         rep.wire_bf16_ms > 0.0 ? rep.wire_fp32_ms / rep.wire_bf16_ms : 0.0;
   }
 
-  // --- bf16 training determinism: thread counts x wire topologies. ---
+  // --- bf16 training determinism: optimizers x topologies x threads. ---
   {
-    const int world = 4;
     const size_t n = 2048;
     const int steps = quick ? 4 : 8;
-    const ClusterTopology topo{2, 2};
-    std::vector<int> ranks(world);
-    for (int r = 0; r < world; ++r) ranks[r] = r;
-
-    const WireFn chain = [&](TransportGroup* g, int r, uint32_t space,
-                             float* data, size_t count) {
-      return ChainAllreduceWire(g, ranks, r, space, WireDtype::kBf16, data,
-                                count);
-    };
-    const WireFn hier = [&](TransportGroup* g, int r, uint32_t space,
-                            float* data, size_t count) {
-      return HierAllreduceWire(g, topo, r, space, WireDtype::kBf16, data,
-                               count);
-    };
-    const WireFn tree = [&](TransportGroup* g, int r, uint32_t space,
-                            float* data, size_t count) {
-      return TreeAllreduceWire(g, ranks, r, space, WireDtype::kBf16, data,
-                               count);
-    };
-    const WireFn topologies[] = {chain, hier, tree};
+    const struct {
+      ClusterTopology topo;
+      bool hierarchical;
+    } topologies[] = {{ClusterTopology::Make(4, 1), false},
+                      {ClusterTopology::Make(2, 2), true}};
     const int thread_counts[] = {1, 2, 8};
 
     const int saved_threads = IntraOpThreads();
     rep.train_bitwise_identical = true;
     for (int adam = 0; adam < 2; ++adam) {
-      std::vector<uint16_t> first;
-      bool have_first = false;
-      for (const WireFn& fn : topologies) {
+      for (const auto& t : topologies) {
+        std::vector<uint16_t> first;
+        bool have_first = false;
         for (int threads : thread_counts) {
           SetIntraOpThreads(threads);
           bool ranks_equal = true;
-          std::vector<uint16_t> p =
-              TrainRun(fn, world, n, steps, adam == 1, &ranks_equal);
+          std::vector<uint16_t> p = TrainRun(t.topo, t.hierarchical, n, steps,
+                                             adam == 1, &ranks_equal);
           if (!ranks_equal) rep.train_bitwise_identical = false;
           if (!have_first) {
             first = std::move(p);
@@ -359,15 +371,16 @@ inline PrecisionGateReport RunPrecisionGateMeasurement(bool quick) {
 /// a slow build.
 inline int RunPrecisionGate(const std::string& path, bool quick) {
   std::fprintf(stdout,
-               "precision gate: vectorized converts, bf16 wire, "
-               "mixed-precision determinism\n");
+               "precision gate: vectorized converts, bf16 C_LP_S vs fp32 "
+               "C_FP_S, mixed-precision determinism\n");
   const PrecisionGateReport rep = RunPrecisionGateMeasurement(quick);
   std::fprintf(
       stdout,
       "  convert    bf16 %5.2fx  fp16 %5.2fx over naive scalars "
       "(bf16 %5.1f GB/s), bitwise match %s\n"
       "  wire       fp32 %8.3f ms  bf16 %8.3f ms  speedup %5.2fx\n"
-      "  training   bitwise identical across threads+topologies: %s\n"
+      "  training   bitwise identical across ranks+threads, flat and "
+      "2x2: %s\n"
       "  steady-state misses: arena %llu, pool %llu\n",
       rep.convert_bf16_speedup, rep.convert_fp16_speedup,
       rep.convert_bf16_gbps, rep.convert_matches_reference ? "yes" : "NO",

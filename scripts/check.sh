@@ -44,7 +44,7 @@ echo "==> fl gate (federated round reproducibility across executors)"
 echo "==> mem gate (whole-step zero-allocation + per-subsystem attribution)"
 ./scripts/mem_gate.sh build
 
-echo "==> precision gate (vectorized converts + bf16 wire + mixed-precision determinism)"
+echo "==> precision gate (vectorized converts + bf16 C_LP_S + mixed-precision determinism)"
 ./scripts/precision_gate.sh build
 
 echo "==> mixed-precision tests (ctest -L precision)"
@@ -76,14 +76,14 @@ ctest --test-dir "build-${SANITIZER}" --output-on-failure -j "$JOBS" -L fl
 echo "==> arena allocator tests under ${SANITIZER} (ctest -L mem)"
 ctest --test-dir "build-${SANITIZER}" --output-on-failure -j "$JOBS" -L mem
 
-echo "==> dtype converts + wire collectives under ${SANITIZER} (ctest -L precision)"
+echo "==> dtype converts + 16-bit codecs under ${SANITIZER} (ctest -L precision)"
 ctest --test-dir "build-${SANITIZER}" --output-on-failure -j "$JOBS" -L precision
 
 if [ "${SANITIZER}" != "address" ]; then
   echo "==> ASan build + arena/precision tests (ctest -L mem, -L precision)"
   cmake -B build-address -S . -DBAGUA_SANITIZE=address >/dev/null
   cmake --build build-address -j "$JOBS" --target arena_test pool_test \
-    dtype_test wire_format_test
+    dtype_test wire_codec_test
   ctest --test-dir build-address --output-on-failure -j "$JOBS" -L mem
   ctest --test-dir build-address --output-on-failure -j "$JOBS" -L precision
 fi

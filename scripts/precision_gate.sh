@@ -9,14 +9,16 @@
 #     tensor/reference.cc)
 #   * convert_matches_reference == 1 (vectorized and scalar converts are
 #     bitwise identical on the same inputs)
-#   * wire_speedup >= MIN_WIRE (bf16-wire pipelined chain allreduce vs the
-#     fp32-wire chain on the same inputs under WireDelayTransport's
-#     per-byte charging — half the wire bytes must show up as wall-clock)
+#   * wire_speedup >= MIN_WIRE (the bf16 allreduce — C_LP_S with the bf16
+#     codec — vs the default fp32 C_FP_S on the same 4 ranks and inputs
+#     under WireDelayTransport's per-byte charging: half the wire bytes
+#     must show up as wall-clock)
 #   * train_bitwise_identical == 1 (bf16 SGD + Adam with fp32 master
-#     weights produce byte-identical parameters at 1/2/8 intra-op threads
-#     and across flat-chain / hierarchical / tree wire collectives)
+#     weights produce byte-identical parameters on every rank and at
+#     1/2/8 intra-op threads, on a flat and on a 2x2 hierarchical
+#     topology — bitwise within each topology)
 #   * arena_misses_steady == 0 and pool_misses_steady == 0 (warm bf16
-#     wire rounds allocate nothing)
+#     C_LP_S rounds allocate nothing)
 #
 # Timing on a shared box is noisy, so the speedup checks get ATTEMPTS
 # tries; the correctness checks (bitwise, misses) must pass on every try.
@@ -39,7 +41,7 @@ cmake --build "$BUILD_DIR" -j "$JOBS" --target bench_micro_primitives >/dev/null
 json_num() { grep -o "\"$1\": *-*[0-9.]*" "$REPORT" | grep -o '[0-9.-]*$'; }
 
 for attempt in $(seq 1 "$ATTEMPTS"); do
-  echo "==> precision gate: converts, bf16 wire, determinism (attempt ${attempt}/${ATTEMPTS})"
+  echo "==> precision gate: converts, bf16 vs fp32 allreduce, determinism (attempt ${attempt}/${ATTEMPTS})"
   "./$BUILD_DIR/bench/bench_micro_primitives" --precision-json="$REPORT" --quick
 
   CBF="$(json_num convert_bf16_speedup)"
@@ -61,7 +63,7 @@ for attempt in $(seq 1 "$ATTEMPTS"); do
     exit 1
   fi
   if [ "$TRAIN" != "1" ]; then
-    echo "FAIL: bf16 training is not bitwise identical across threads/topologies" >&2
+    echo "FAIL: bf16 training is not bitwise identical across ranks/threads" >&2
     exit 1
   fi
   if [ "$AMISS" != "0" ] || [ "$PMISS" != "0" ]; then
@@ -73,7 +75,7 @@ for attempt in $(seq 1 "$ATTEMPTS"); do
        -v minc="$MIN_CONVERT" -v minw="$MIN_WIRE" \
        'BEGIN { exit !(b >= minc && f >= minc && w >= minw) }'; then
     echo "OK: converts bf16 ${CBF}x / fp16 ${CFP}x (gate: >= ${MIN_CONVERT}x)," \
-         "bf16 wire ${WIRE}x over fp32 wire (gate: >= ${MIN_WIRE}x)," \
+         "bf16 allreduce ${WIRE}x over fp32 default (gate: >= ${MIN_WIRE}x)," \
          "training bitwise identical, 0 steady-state misses" \
          "(report: $REPORT)"
     exit 0

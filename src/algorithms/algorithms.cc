@@ -454,28 +454,31 @@ double LocalSgdAlgorithm::WireBytes(size_t numel, const ClusterTopology& topo,
          static_cast<double>(period_);
 }
 
-// ------------------------------------------------------------ fp16 allreduce
+// ------------------------------------------------------- 16-bit allreduce
 
-Status Fp16AllreduceAlgorithm::OnBucketReady(BaguaContext* ctx,
+HalfAllreduceAlgorithm::HalfAllreduceAlgorithm(WireDtype dtype)
+    : codec_(dtype), name_(std::string("allreduce-") + WireDtypeName(dtype)) {}
+
+Status HalfAllreduceAlgorithm::OnBucketReady(BaguaContext* ctx,
                                              Bucket* bucket) {
   RETURN_IF_ERROR(
       CLpS(&ctx->comm, codec_, bucket->grad_data(), bucket->numel, nullptr));
   return ApplyAveragedGrad(ctx, bucket);
 }
 
-double Fp16AllreduceAlgorithm::CommCost(size_t numel,
+double HalfAllreduceAlgorithm::CommCost(size_t numel,
                                         const ClusterTopology& topo,
                                         const NetworkConfig& net,
                                         bool hierarchical) const {
   return EstimateCLpSCost(topo, net, codec_, numel, hierarchical);
 }
 
-double Fp16AllreduceAlgorithm::CodecCost(size_t numel,
+double HalfAllreduceAlgorithm::CodecCost(size_t numel,
                                          const DeviceConfig& dev) const {
   return 2.0 * dev.MemPassTime(numel * 4.0);
 }
 
-double Fp16AllreduceAlgorithm::WireBytes(size_t numel,
+double HalfAllreduceAlgorithm::WireBytes(size_t numel,
                                          const ClusterTopology& topo,
                                          bool hierarchical) const {
   const double wire = static_cast<double>(codec_.CompressedBytes(numel));
@@ -483,78 +486,6 @@ double Fp16AllreduceAlgorithm::WireBytes(size_t numel,
     return 2.0 * numel * 4.0 + 2.0 * wire / topo.devices_per_node;
   }
   return 2.0 * wire;
-}
-
-// ------------------------------------------------------------ bf16 wire
-
-Status Bf16AllreduceAlgorithm::OnBucketReady(BaguaContext* ctx,
-                                             Bucket* bucket) {
-  // Route this bucket's CFpS over the bf16 wire; restore the context's
-  // dtype after, so the algorithm composes with runtimes configured for
-  // any default.
-  const WireDtype prev = ctx->comm.wire_dtype;
-  ctx->comm.wire_dtype = WireDtype::kBf16;
-  const Status st = CFpS(&ctx->comm, bucket->grad_data(), bucket->numel);
-  ctx->comm.wire_dtype = prev;
-  RETURN_IF_ERROR(st);
-  return ApplyAveragedGrad(ctx, bucket);
-}
-
-double Bf16AllreduceAlgorithm::CommCost(size_t numel,
-                                        const ClusterTopology& topo,
-                                        const NetworkConfig& net,
-                                        bool hierarchical) const {
-  const double wire_bytes = numel * 2.0;
-  if (!hierarchical || topo.devices_per_node == 1) {
-    return ChainAllreduceWireCost(topo, net, wire_bytes);
-  }
-  switch (ChooseAllreduceAlgo(topo, static_cast<size_t>(wire_bytes))) {
-    case AllreduceAlgo::kTree:
-      return TreeAllreduceCost(topo, net, topo.world_size(), wire_bytes);
-    case AllreduceAlgo::kHierarchical:
-    case AllreduceAlgo::kFlatRing:
-      // The two-tier wire chain shares the leader chain + member
-      // gather/fan-out structure; price it as the chain over the leader
-      // path plus one intra hop each way.
-      return ChainAllreduceWireCost(topo, net, wire_bytes) +
-             2.0 * net.intra_latency_s;
-  }
-  return ChainAllreduceWireCost(topo, net, wire_bytes);
-}
-
-double Bf16AllreduceAlgorithm::CodecCost(size_t numel,
-                                         const DeviceConfig& dev) const {
-  // Pack on send + unpack on receive: two elementwise passes.
-  return 2.0 * dev.MemPassTime(numel * 4.0);
-}
-
-double Bf16AllreduceAlgorithm::WireBytes(size_t numel,
-                                         const ClusterTopology& topo,
-                                         bool hierarchical) const {
-  const double wire = numel * 2.0;  // 2-byte elements end to end
-  const double m = static_cast<double>(topo.world_size());
-  if (m <= 1.0) return 0.0;
-  if (hierarchical && topo.devices_per_node > 1) {
-    switch (ChooseAllreduceAlgo(topo, static_cast<size_t>(wire))) {
-      case AllreduceAlgo::kTree: {
-        const double slots = static_cast<double>(
-            TreeGatherTotalSlots(static_cast<size_t>(m)) +
-            static_cast<size_t>(m) - 1);
-        return slots * wire / m;
-      }
-      case AllreduceAlgo::kHierarchical: {
-        const double d = static_cast<double>(topo.devices_per_node);
-        const double nodes = static_cast<double>(topo.num_nodes);
-        // Members: one packed vector each way. Leaders: chain hops up and
-        // down. Per-rank average over a node's d ranks.
-        return (2.0 * (d - 1.0) + 2.0 * (nodes - 1.0) / nodes) * wire / d;
-      }
-      case AllreduceAlgo::kFlatRing:
-        break;
-    }
-  }
-  // Flat chain: 2(m-1) hops of the full wire payload, averaged per rank.
-  return 2.0 * (m - 1.0) * wire / m;
 }
 
 }  // namespace bagua

@@ -6,7 +6,7 @@
 #include <vector>
 
 #include "comm/primitives.h"
-#include "compress/fp16.h"
+#include "compress/half.h"
 #include "compress/onebit.h"
 #include "compress/qsgd.h"
 #include "core/algorithm.h"
@@ -215,11 +215,15 @@ class LocalSgdAlgorithm : public Algorithm {
   uint64_t period_;
 };
 
-/// \brief fp16-compressed allreduce — BAGUA's twin of "Horovod 16bits"
-/// (NCCL fp16 gradient compression), via C_LP_S with the fp16 codec.
-class Fp16AllreduceAlgorithm : public Algorithm {
+/// \brief 16-bit allreduce: C_LP_S with a HalfCompressor codec.
+/// "allreduce-fp16" is BAGUA's twin of "Horovod 16bits" (NCCL fp16
+/// gradient compression); "allreduce-bf16" is the same primitive over the
+/// bf16 codec, which keeps fp32's exponent range. Both halve the bytes of
+/// every compressed phase; sums accumulate in fp32.
+class HalfAllreduceAlgorithm : public Algorithm {
  public:
-  Fp16AllreduceAlgorithm() = default;
+  /// `dtype` must be WireDtype::kBf16 or WireDtype::kFp16.
+  explicit HalfAllreduceAlgorithm(WireDtype dtype);
   const std::string& name() const override { return name_; }
   AlgorithmTraits traits() const override {
     return {true, false, true, false};
@@ -232,32 +236,8 @@ class Fp16AllreduceAlgorithm : public Algorithm {
                    bool hierarchical) const override;
 
  private:
-  std::string name_ = "allreduce-fp16";
-  Fp16Compressor codec_;
-};
-
-/// \brief bf16-wire allreduce: the dense gradient sum travels as 2-byte
-/// bf16 payloads with fp32 accumulation (collectives/wire_format.h) — the
-/// wire-dtype relaxation, as opposed to allreduce-fp16's *compressed*
-/// ScatterReduce (C_LP_S with a codec). Halves every phase's wire bytes
-/// while the canonical requantization chain keeps results bitwise
-/// identical across flat/hierarchical/tree execution.
-class Bf16AllreduceAlgorithm : public Algorithm {
- public:
-  Bf16AllreduceAlgorithm() = default;
-  const std::string& name() const override { return name_; }
-  AlgorithmTraits traits() const override {
-    return {true, false, true, false};
-  }
-  Status OnBucketReady(BaguaContext* ctx, Bucket* bucket) override;
-  double CommCost(size_t numel, const ClusterTopology& topo,
-                  const NetworkConfig& net, bool hierarchical) const override;
-  double CodecCost(size_t numel, const DeviceConfig& dev) const override;
-  double WireBytes(size_t numel, const ClusterTopology& topo,
-                   bool hierarchical) const override;
-
- private:
-  std::string name_ = "allreduce-bf16";
+  HalfCompressor codec_;
+  std::string name_;
 };
 
 }  // namespace bagua

@@ -28,10 +28,12 @@ Result<std::unique_ptr<Algorithm>> MakeAlgorithm(const std::string& name) {
         new DecentralizedAlgorithm(true, PeerSelection::kRing));
   }
   if (name == "allreduce-fp16") {
-    return std::unique_ptr<Algorithm>(new Fp16AllreduceAlgorithm());
+    return std::unique_ptr<Algorithm>(
+        new HalfAllreduceAlgorithm(WireDtype::kFp16));
   }
   if (name == "allreduce-bf16") {
-    return std::unique_ptr<Algorithm>(new Bf16AllreduceAlgorithm());
+    return std::unique_ptr<Algorithm>(
+        new HalfAllreduceAlgorithm(WireDtype::kBf16));
   }
   if (name == "async-decen") {
     return std::unique_ptr<Algorithm>(new AsyncDecenAlgorithm());

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "compress/fp16.h"
 #include "sched/plan.h"
 #include "sim/collective_cost.h"
 

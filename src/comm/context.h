@@ -7,7 +7,6 @@
 
 #include "base/rng.h"
 #include "sim/topology.h"
-#include "tensor/dtype.h"
 #include "transport/transport.h"
 
 namespace bagua {
@@ -60,13 +59,6 @@ struct CommContext {
   uint64_t step = 0;
   /// Execute primitives hierarchically (intra-node + leaders)?
   bool hierarchical = false;
-  /// Element encoding on the wire for the full-precision synchronous
-  /// primitive (C_FP_S): kFp32 runs the classic fp32 collectives; kBf16 /
-  /// kFp16 route through the reduced-wire allreduce
-  /// (collectives/wire_format.h) — 2-byte payloads, fp32 accumulation,
-  /// canonical ascending-rank requantization chain. Kept LAST so existing
-  /// aggregate initializers stay valid.
-  WireDtype wire_dtype = WireDtype::kFp32;
 
   static constexpr uint32_t kSpaceStride = 8;
 

@@ -8,7 +8,6 @@
 #include "base/strings.h"
 #include "collectives/collectives.h"
 #include "collectives/hierarchy.h"
-#include "collectives/wire_format.h"
 #include "sim/collective_cost.h"
 #include "tensor/ops.h"
 #include "trace/trace.h"
@@ -392,12 +391,6 @@ Status CFpS(CommContext* ctx, float* data, size_t n) {
   static const IdentityCompressor kIdentity;
   const uint32_t space = ctx->NextSpace();
   const ClusterTopology& topo = ctx->topo();
-  if (ctx->wire_dtype != WireDtype::kFp32) {
-    // Reduced wire: 2-byte payloads, fp32 accumulation, one canonical
-    // requantization order across topologies (collectives/wire_format.h).
-    return AllreduceWire(ctx->group(), topo, ctx->rank, space,
-                         ctx->wire_dtype, data, n, ctx->hierarchical);
-  }
   if (!ctx->hierarchical || topo.devices_per_node == 1) {
     return ScatterReduceExec(ctx, WorldRanks(topo), kIdentity, data, n,
                              nullptr, space);

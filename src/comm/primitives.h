@@ -32,11 +32,8 @@ Result<ClpsState> InitClpsState(const CommContext& ctx, size_t n);
 /// C_FP_S — centralized, full precision, synchronous:
 ///   ∀i: x_i' = Σ_j x_j
 /// Executed with the ScatterReduce pattern of §3.3 (flat) or intra-node
-/// allreduce + leader ring + broadcast (hierarchical). When
-/// ctx->wire_dtype is bf16/fp16 the sum instead travels the
-/// reduced-precision wire (collectives/wire_format.h): 2-byte payloads,
-/// fp32 accumulation, and one canonical requantization order, so the
-/// result is bitwise identical across flat/hierarchical/tree execution.
+/// allreduce + leader ring + broadcast (hierarchical). A reduced-precision
+/// wire is C_LP_S with a 16-bit codec (compress/half.h), not a C_FP_S mode.
 Status CFpS(CommContext* ctx, float* data, size_t n);
 
 /// C_LP_S — centralized, low precision, with optional error compensation:

@@ -2,7 +2,7 @@
 
 #include <cstdlib>
 
-#include "compress/fp16.h"
+#include "compress/half.h"
 #include "compress/onebit.h"
 #include "compress/qsgd.h"
 #include "compress/sketch.h"
@@ -15,7 +15,10 @@ Result<std::unique_ptr<Compressor>> MakeCompressor(const std::string& spec) {
     return std::unique_ptr<Compressor>(new IdentityCompressor());
   }
   if (spec == "fp16") {
-    return std::unique_ptr<Compressor>(new Fp16Compressor());
+    return std::unique_ptr<Compressor>(new HalfCompressor(WireDtype::kFp16));
+  }
+  if (spec == "bf16") {
+    return std::unique_ptr<Compressor>(new HalfCompressor(WireDtype::kBf16));
   }
   if (spec == "onebit") {
     return std::unique_ptr<Compressor>(new OneBitCompressor());

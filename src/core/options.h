@@ -3,8 +3,6 @@
 
 #include <cstddef>
 
-#include "tensor/dtype.h"
-
 namespace bagua {
 
 /// \brief The execution-optimizer switches of §3.4 / Table 5.
@@ -40,14 +38,6 @@ struct BaguaOptions {
   /// byte-deterministic in this knob: training trajectories are
   /// bit-identical for any value (determinism_test enforces 1/2/8).
   int intra_op_threads = 0;
-
-  /// Wire encoding for the full-precision synchronous gradient allreduce:
-  /// kFp32 is the classic path; kBf16/kFp16 halve the bytes every
-  /// collective phase moves (convert on pack, accumulate in fp32 — see
-  /// collectives/wire_format.h). Orthogonal to the lossy *compressed*
-  /// algorithms (C_LP_S / "allreduce-fp16"): the wire dtype changes how the
-  /// dense sum travels, not which primitive runs.
-  WireDtype wire_dtype = WireDtype::kFp32;
 
   static BaguaOptions Ablation(bool o, bool f, bool h) {
     BaguaOptions opts;

@@ -16,7 +16,6 @@ BaguaRuntime::BaguaRuntime(CommWorld* world, int rank, Net* net,
   ctx_.comm.space = 0;
   ctx_.comm.step = 0;
   ctx_.comm.hierarchical = options.hierarchical;
-  ctx_.comm.wire_dtype = options.wire_dtype;
   ctx_.optimizer = optimizer;
   ctx_.options = options;
   ctx_.step = 0;

@@ -65,14 +65,22 @@ Status RunServingReplay(const ServingConfig& config, TransportGroup* group,
   // fluctuating with cache state, and a post-warmup batch that first
   // touches a class — or spikes a class's concurrent in-flight demand —
   // would otherwise register a pool miss. Mirrors comm_gate.h PrimePool.
+  // The 64 B class gets more: every AllToAll's 8-byte headers (and its
+  // smallest payloads) land there. Rank 0 parks for the whole group; in
+  // one exchange each rank sends world-1 headers and world-1 payloads, it
+  // may send the next exchange's messages before its peers drain this one,
+  // and it receives into two buffers.
   if (rank == 0) {
     const size_t worst = std::max<size_t>(
         std::min<size_t>(config.policy.max_batch, config.num_requests),
         size_t{1}) * slots * dim * sizeof(float);
-    const size_t per_class = 2 * static_cast<size_t>(world) + 2;
+    const size_t w = static_cast<size_t>(world);
+    const size_t per_class = 2 * w + 2;
+    const size_t per_header_class = w * (4 * (w - 1) + 2);
     std::vector<std::vector<uint8_t>> parked;
     for (size_t bytes = 64; bytes < worst * 2; bytes *= 2) {
-      for (size_t k = 0; k < per_class; ++k) {
+      const size_t count = bytes == 64 ? per_header_class : per_class;
+      for (size_t k = 0; k < count; ++k) {
         parked.push_back(group->AcquireBuffer(bytes));
       }
     }

@@ -452,59 +452,4 @@ double DesPsPushPullTime(const ClusterTopology& topo, const NetworkConfig& net,
   return local + 2.0 * phase + reduce;
 }
 
-double ChainAllreduceWireCost(const ClusterTopology& topo,
-                              const NetworkConfig& net, double wire_bytes) {
-  const int m = topo.world_size();
-  if (m <= 1 || wire_bytes <= 0.0) return 0.0;
-  // The chain path 0 -> 1 -> ... -> m-1 (and back). Segments pipeline
-  // through it, so each direction pays the summed per-hop latency/overhead
-  // once (pipeline fill) plus the payload through the slowest link.
-  double path_latency = 0.0, path_overhead = 0.0;
-  double bw = net.intra_bw_Bps;
-  for (int r = 0; r + 1 < m; ++r) {
-    const Hop hop = HopOf(topo, net, r, r + 1);
-    path_latency += hop.alpha;
-    path_overhead += hop.overhead;
-    bw = std::min(bw, hop.bw);
-  }
-  return 2.0 * (path_latency + path_overhead) + 2.0 * wire_bytes / bw;
-}
-
-double DesChainAllreduceWireTime(const ClusterTopology& topo,
-                                 const NetworkConfig& net, double wire_bytes,
-                                 int segments) {
-  const int m = topo.world_size();
-  if (m <= 1 || wire_bytes <= 0.0) return 0.0;
-  const int G = std::max(1, segments);
-  const double seg = wire_bytes / G;
-
-  // have[r][g]: when rank r holds segment g of the partial chain (up
-  // sweep) or of q* (down sweep). Egress ports serialize segments; a
-  // segment departs only after it was received.
-  std::vector<std::vector<double>> have(m, std::vector<double>(G, 0.0));
-  for (int r = 0; r + 1 < m; ++r) {
-    const Hop hop = HopOf(topo, net, r, r + 1);
-    double link_free = 0.0;
-    for (int g = 0; g < G; ++g) {
-      const double start = std::max(link_free, have[r][g]);
-      link_free = start + hop.overhead + seg / hop.bw;
-      have[r + 1][g] = link_free + hop.alpha;
-    }
-  }
-  for (int r = m - 1; r > 0; --r) {
-    const Hop hop = HopOf(topo, net, r, r - 1);
-    double link_free = 0.0;
-    for (int g = 0; g < G; ++g) {
-      const double start = std::max(link_free, have[r][g]);
-      link_free = start + hop.overhead + seg / hop.bw;
-      have[r - 1][g] = link_free + hop.alpha;
-    }
-  }
-  double makespan = 0.0;
-  for (const auto& row : have) {
-    for (double t : row) makespan = std::max(makespan, t);
-  }
-  return makespan;
-}
-
 }  // namespace bagua

@@ -70,16 +70,6 @@ double TreeAllreduceCost(const ClusterTopology& topo, const NetworkConfig& net,
                          int m, double bytes);
 /// @}
 
-/// Pipelined ascending-rank chain allreduce with a reduced wire
-/// (collectives/wire_format.h): up sweep 0 -> m-1 folding the
-/// requantization chain, down sweep m-1 -> 0 carrying q* verbatim.
-/// `wire_bytes` is the *wire-size* payload (numel x WireDtypeBytes — the
-/// caller already applied the 2-byte element). Segments stream through the
-/// path, so each direction pays the path's latency/overhead once plus one
-/// payload through the bottleneck link.
-double ChainAllreduceWireCost(const ClusterTopology& topo,
-                              const NetworkConfig& net, double wire_bytes);
-
 /// All-to-all over `ranks`: every rank sends `bytes_per_pair` to every
 /// other, all flows concurrent. Used by ScatterReduce's two phases and by
 /// the sharded-embedding serving pricer (serve/pricing.h).
@@ -154,14 +144,6 @@ double DesTreeAllreduceTime(const ClusterTopology& topo,
 /// aggregation at ps_server_reduce_Bps, sharded pull, local broadcast.
 double DesPsPushPullTime(const ClusterTopology& topo, const NetworkConfig& net,
                          double bytes);
-
-/// ChainAllreduceWire segment-level recurrence: each rank forwards a
-/// segment only after receiving it, egress ports serialize segments
-/// (o + seg/bw each), and the down sweep starts per segment as soon as the
-/// last rank holds it. `wire_bytes` is the wire-size payload.
-double DesChainAllreduceWireTime(const ClusterTopology& topo,
-                                 const NetworkConfig& net, double wire_bytes,
-                                 int segments);
 
 /// @}
 

@@ -6,9 +6,10 @@
 //
 // Bitwise contracts (tests/dtype_test.cc):
 //   * FloatToBf16N  ≡ scalar FloatToBf16 (dtype.h) elementwise;
-//   * FloatToHalfN  ≡ scalar FloatToHalf (compress/fp16.h) elementwise —
-//     both are IEEE round-to-nearest-even with NaN → sign | 0x7E00;
-//   * HalfToFloatN  ≡ scalar HalfToFloat elementwise (exact);
+//   * FloatToHalfN  ≡ the frozen scalar reference::FloatToHalfN
+//     (tensor/reference.h) elementwise — both are IEEE
+//     round-to-nearest-even with NaN → sign | 0x7E00;
+//   * HalfToFloatN  ≡ reference::HalfToFloatN elementwise (exact);
 //   * all four are bitwise identical at any intra-op thread count
 //     (fixed-grain blocks, elementwise-independent bodies).
 //
@@ -206,65 +207,6 @@ void UnpackWire(WireDtype d, const void* wire, float* out, size_t n) {
       HalfToFloatN(static_cast<const uint16_t*>(wire), out, n);
       return;
   }
-}
-
-void RoundToWire(WireDtype d, float* x, size_t n) {
-  if (d == WireDtype::kFp32) return;
-  ConvertTimer timer(n);
-  const bool bf16 = d == WireDtype::kBf16;
-  ForBlocks(n, [&](size_t begin, size_t end) {
-    float* __restrict__ xp = x + begin;
-    const size_t count = end - begin;
-    if (bf16) {
-      for (size_t i = 0; i < count; ++i) {
-        xp[i] = std::bit_cast<float>(
-            static_cast<uint32_t>(Bf16Bits(std::bit_cast<uint32_t>(xp[i])))
-            << 16);
-      }
-    } else {
-      for (size_t i = 0; i < count; ++i) {
-        xp[i] = std::bit_cast<float>(
-            FloatBits(HalfBits(std::bit_cast<uint32_t>(xp[i]))));
-      }
-    }
-  });
-}
-
-void WireChainCombine(WireDtype d, void* acc, const void* contrib, size_t n) {
-  if (d == WireDtype::kFp32) {
-    // Identity wire: a plain elementwise float add over the payloads.
-    ForBlocks(n, [&](size_t begin, size_t end) {
-      float* __restrict__ ap = static_cast<float*>(acc) + begin;
-      const float* __restrict__ cp =
-          static_cast<const float*>(contrib) + begin;
-      const size_t count = end - begin;
-      for (size_t i = 0; i < count; ++i) ap[i] += cp[i];
-    });
-    return;
-  }
-  ConvertTimer timer(n);
-  const bool bf16 = d == WireDtype::kBf16;
-  ForBlocks(n, [&](size_t begin, size_t end) {
-    uint16_t* __restrict__ ap = static_cast<uint16_t*>(acc) + begin;
-    const uint16_t* __restrict__ cp =
-        static_cast<const uint16_t*>(contrib) + begin;
-    const size_t count = end - begin;
-    if (bf16) {
-      for (size_t i = 0; i < count; ++i) {
-        const float a =
-            std::bit_cast<float>(static_cast<uint32_t>(ap[i]) << 16);
-        const float c =
-            std::bit_cast<float>(static_cast<uint32_t>(cp[i]) << 16);
-        ap[i] = Bf16Bits(std::bit_cast<uint32_t>(a + c));
-      }
-    } else {
-      for (size_t i = 0; i < count; ++i) {
-        const float a = std::bit_cast<float>(FloatBits(ap[i]));
-        const float c = std::bit_cast<float>(FloatBits(cp[i]));
-        ap[i] = HalfBits(std::bit_cast<uint32_t>(a + c));
-      }
-    }
-  });
 }
 
 }  // namespace bagua

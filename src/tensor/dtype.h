@@ -12,12 +12,11 @@ namespace bagua {
 /// fp32 is the compute dtype everywhere (kernels, optimizers, reductions
 /// accumulate in float); bf16/fp16 are *storage and wire* dtypes: 2-byte
 /// encodings used for parameter/gradient storage (model/optimizer.h
-/// MixedPrecisionOptimizer) and for collective payloads
-/// (collectives/wire_format.h). Conversions round to nearest even, the
-/// same convention as compress/fp16.h's scalar FloatToHalf — the batch
-/// kernels below are bitwise identical to the scalar paths
-/// (tests/dtype_test.cc enforces it), so a value quantized by any layer of
-/// the stack produces the same bits.
+/// MixedPrecisionOptimizer) and as C_LP_S codecs (compress/half.h).
+/// Conversions round to nearest even — the batch kernels below are bitwise
+/// identical to the scalar bf16 conversions here and to the frozen scalar
+/// references in tensor/reference.h (tests/dtype_test.cc enforces it), so
+/// a value quantized by any layer of the stack produces the same bits.
 enum class WireDtype : uint8_t {
   kFp32 = 0,  ///< 4-byte IEEE binary32 — the identity wire format.
   kBf16 = 1,  ///< 2-byte bfloat16 (1/8/7): fp32's exponent range, 8-bit
@@ -71,7 +70,7 @@ inline float Bf16ToFloat(uint16_t h) {
 /// Compiled in the -O3 -march=native kernel TU; split over the intra-op
 /// pool in fixed-size blocks, so results are bitwise identical at any
 /// thread count — and bitwise identical to the scalar conversions above /
-/// compress/fp16.h's FloatToHalf/HalfToFloat. Wall time is recorded as
+/// tensor/reference.h's FloatToHalfN/HalfToFloatN. Wall time is recorded as
 /// kernel.convert.{calls,ns,flops} (flops = elements converted). The
 /// frozen naive baselines live in tensor/reference.h; the precision gate
 /// (scripts/precision_gate.sh) fails the build unless these stay >= 2x
@@ -85,23 +84,12 @@ void HalfToFloatN(const uint16_t* in, float* out, size_t n);
 
 /// \name Wire pack/unpack — the dtype-dispatched face of the batch kernels.
 ///
-/// `wire` buffers hold n elements of WireDtypeBytes(d) each and must be at
-/// least 4-byte aligned (transport payload buffers and arena scratch both
-/// are). fp32 is a memcpy.
+/// `wire` buffers hold n elements of WireDtypeBytes(d) each and must be
+/// aligned for that element type (transport payload buffers and arena
+/// scratch both are). fp32 is a memcpy.
 /// @{
 void PackWire(WireDtype d, const float* in, void* wire, size_t n);
 void UnpackWire(WireDtype d, const void* wire, float* out, size_t n);
-
-/// In-place requantization x[i] = F(W(x[i])) — what a value is worth after
-/// one trip through the wire dtype. Identity for fp32.
-void RoundToWire(WireDtype d, float* x, size_t n);
-
-/// The reduced-precision chain-reduction step (collectives/wire_format.h):
-///   acc[i] = W(F(acc[i]) + F(contrib[i]))
-/// over packed payloads, accumulating in fp32. Both payloads hold n
-/// elements of dtype `d`; `acc` is updated in place. fp32 wire degrades to
-/// a plain elementwise float add.
-void WireChainCombine(WireDtype d, void* acc, const void* contrib, size_t n);
 /// @}
 
 }  // namespace bagua

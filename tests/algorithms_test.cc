@@ -225,14 +225,22 @@ TEST(AlgorithmsTest, LocalSgdConvergesAndSyncsPeriodically) {
   EXPECT_LT(ReplicaSpread(result), 1e-4);
 }
 
+// Runs over both 16-bit codecs: "allreduce-fp16" and "allreduce-bf16" are
+// one algorithm class, C_LP_S over compress/half.h.
 TEST(AlgorithmsTest, Fp16AllreduceMatchesFullPrecisionClosely) {
   auto sgd = [](int) { return std::make_unique<SgdOptimizer>(0.1); };
   auto ar = Train([](int) { return std::make_unique<AllreduceAlgorithm>(); },
                   sgd, 30);
-  auto fp16 = Train(
-      [](int) { return std::make_unique<Fp16AllreduceAlgorithm>(); }, sgd, 30);
-  EXPECT_NEAR(MeanTail(fp16.losses, 5), MeanTail(ar.losses, 5),
-              0.1 * MeanTail(ar.losses, 5) + 0.02);
+  for (WireDtype dtype : {WireDtype::kFp16, WireDtype::kBf16}) {
+    SCOPED_TRACE(WireDtypeName(dtype));
+    auto half = Train(
+        [dtype](int) {
+          return std::make_unique<HalfAllreduceAlgorithm>(dtype);
+        },
+        sgd, 30);
+    EXPECT_NEAR(MeanTail(half.losses, 5), MeanTail(ar.losses, 5),
+                0.1 * MeanTail(ar.losses, 5) + 0.02);
+  }
 }
 
 TEST(AlgorithmsTest, HierarchicalExecutionConverges) {

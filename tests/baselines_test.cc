@@ -1,12 +1,14 @@
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "baselines/baselines.h"
 #include "harness/autotune.h"
 
 namespace bagua {
 namespace {
 
-TimingConfig Config(const char* model, double gbps) {
+TimingConfig Config(const std::string& model, double gbps) {
   TimingConfig cfg;
   cfg.model = ModelProfile::ByName(model);
   cfg.net = NetworkConfig::Tcp(gbps);
@@ -83,8 +85,10 @@ TEST(BaselinesTest, DdpAndHorovod32CloseAtEqualPattern) {
   EXPECT_NEAR(ddp, hvd, 0.05 * ddp);
 }
 
+// std::string, not const char*: gtest prints a char pointer's address, which
+// would put a per-process value into the ctest name of every case.
 class Table3InvariantTest
-    : public ::testing::TestWithParam<std::tuple<const char*, double>> {};
+    : public ::testing::TestWithParam<std::tuple<std::string, double>> {};
 
 TEST_P(Table3InvariantTest, BaguaBestNeverLosesBadly) {
   // The paper's headline claim, as an invariant over its grid: BAGUA's

@@ -9,7 +9,7 @@
 #include "collectives/hierarchy.h"
 #include "comm/context.h"
 #include "comm/primitives.h"
-#include "compress/fp16.h"
+#include "compress/half.h"
 #include "compress/onebit.h"
 #include "compress/qsgd.h"
 #include "tensor/ops.h"
@@ -440,7 +440,7 @@ TEST(DLpSTest, Fp16NearlyMatchesFullPrecision) {
     for (int r = 0; r < 4; ++r) BAGUA_CHECK(st[r].ok());
     return data;
   };
-  Fp16Compressor fp16;
+  HalfCompressor fp16(WireDtype::kFp16);
   auto full = run(nullptr);
   auto half = run(&fp16);
   for (int r = 0; r < 4; ++r) {

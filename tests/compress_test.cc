@@ -9,12 +9,13 @@
 #include "base/rng.h"
 #include "compress/compressor.h"
 #include "compress/factory.h"
-#include "compress/fp16.h"
+#include "compress/half.h"
 #include "compress/onebit.h"
 #include "compress/qsgd.h"
 #include "compress/sketch.h"
 #include "compress/topk.h"
 #include "tensor/ops.h"
+#include "tensor/reference.h"
 
 namespace bagua {
 namespace {
@@ -214,6 +215,18 @@ TEST(TopKTest, RejectsCorruptIndices) {
 
 // -------------------------------------------------------------------- fp16
 
+// Scalar fp16 conversions through the frozen naive reference.
+uint16_t FloatToHalf(float f) {
+  uint16_t h;
+  reference::FloatToHalfN(&f, &h, 1);
+  return h;
+}
+float HalfToFloat(uint16_t h) {
+  float f;
+  reference::HalfToFloatN(&h, &f, 1);
+  return f;
+}
+
 TEST(Fp16Test, ExactForSmallIntegers) {
   for (float f : {0.0f, 1.0f, -1.0f, 2.0f, 1024.0f, -0.5f, 0.25f}) {
     EXPECT_EQ(HalfToFloat(FloatToHalf(f)), f) << f;
@@ -242,7 +255,7 @@ TEST(Fp16Test, SubnormalsRoundTripApproximately) {
 }
 
 TEST(Fp16Test, CodecHalvesPayload) {
-  Fp16Compressor codec;
+  HalfCompressor codec(WireDtype::kFp16);
   EXPECT_EQ(codec.CompressedBytes(100), 200u);
   auto v = RandomVec(100, 12);
   std::vector<float> out(v.size());
@@ -320,8 +333,8 @@ TEST(SketchTest, RejectsWrongPayloadSize) {
 
 TEST(FactoryTest, CreatesAllKnownSpecs) {
   for (const char* spec :
-       {"identity", "fp16", "onebit", "qsgd8", "qsgd4", "qsgd2", "topk:0.01",
-        "sketch:10"}) {
+       {"identity", "fp16", "bf16", "onebit", "qsgd8", "qsgd4", "qsgd2",
+        "topk:0.01", "sketch:10"}) {
     auto codec = MakeCompressor(spec);
     ASSERT_TRUE(codec.ok()) << spec;
     EXPECT_NE(*codec, nullptr);
@@ -353,8 +366,8 @@ TEST(FactoryTest, CompressionRatiosOrdered) {
 // stochastic QSGD path, whose per-block rounding streams are derived from
 // a single rng draw and therefore do not depend on block execution order.
 TEST(CompressorThreadInvarianceTest, RoundTripFuzzAcrossThreadCounts) {
-  const char* specs[] = {"onebit", "qsgd8",     "qsgd4",   "qsgd2",
-                         "fp16",   "topk:0.05", "sketch:8"};
+  const char* specs[] = {"onebit", "qsgd8", "qsgd4",     "qsgd2",
+                         "fp16",   "bf16",  "topk:0.05", "sketch:8"};
   const size_t sizes[] = {1,    37,    511,   512,   513,  2047, 2048,
                           2049, 12289, 100000};
   for (const char* spec : specs) {

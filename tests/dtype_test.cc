@@ -1,8 +1,8 @@
 // bf16/fp16 storage dtypes (tensor/dtype.h): exact semantics of the
 // scalar conversions, bitwise equivalence of the vectorized batch kernels
-// against the frozen naive reference (tensor/reference.h) and the seed
-// compress/fp16.cc scalars, round-trip error bounds, and the wire-pack
-// helpers the reduced-precision collectives are built on.
+// against the frozen naive reference (tensor/reference.h), round-trip
+// error bounds, and the wire-pack helpers the 16-bit codecs
+// (compress/half.h) are built on.
 
 #include <gtest/gtest.h>
 
@@ -14,7 +14,7 @@
 
 #include "base/parallel.h"
 #include "base/rng.h"
-#include "compress/fp16.h"
+#include "compress/half.h"
 #include "tensor/dtype.h"
 #include "tensor/reference.h"
 
@@ -23,6 +23,24 @@ namespace {
 
 float FromBits(uint32_t x) { return std::bit_cast<float>(x); }
 uint32_t Bits(float f) { return std::bit_cast<uint32_t>(f); }
+
+// Scalar fp16 conversions through the frozen naive reference.
+uint16_t FloatToHalf(float f) {
+  uint16_t h;
+  reference::FloatToHalfN(&f, &h, 1);
+  return h;
+}
+float HalfToFloat(uint16_t h) {
+  float f;
+  reference::HalfToFloatN(&h, &f, 1);
+  return f;
+}
+
+/// What one trip through the 16-bit wire dtype `d` leaves of x.
+float RoundTrip16(WireDtype d, float x) {
+  return d == WireDtype::kBf16 ? Bf16ToFloat(FloatToBf16(x))
+                               : HalfToFloat(FloatToHalf(x));
+}
 
 // ------------------------------------------------------------- bf16 scalar
 
@@ -94,8 +112,9 @@ TEST(Bf16, RoundTripErrorBound) {
 // ------------------------------------------------------------- fp16 scalar
 
 TEST(Fp16, MatchesCompressScalarEverywhere) {
-  // The vectorized kernel family and the seed compress/fp16.cc scalars
-  // must agree bit for bit. half->float: exhaustive over all 2^16.
+  // The vectorized kernel family and the scalar reference (the seed's
+  // compress/fp16.cc scalars, verbatim) must agree bit for bit.
+  // half->float: exhaustive over all 2^16.
   for (uint32_t h = 0; h <= 0xFFFFu; ++h) {
     const uint16_t hh = static_cast<uint16_t>(h);
     float a, b;
@@ -216,7 +235,7 @@ TEST(ConvertKernels, FuzzRoundTripBound) {
 
 // -------------------------------------------------- compressor integration
 
-TEST(Fp16Compressor, VectorizedRoundTripMatchesScalars) {
+TEST(HalfCompressor, VectorizedRoundTripMatchesScalars) {
   Rng rng(5);
   const size_t n = 1000;
   std::vector<float> xs(n);
@@ -224,33 +243,42 @@ TEST(Fp16Compressor, VectorizedRoundTripMatchesScalars) {
   xs[0] = std::numeric_limits<float>::infinity();
   xs[1] = -std::numeric_limits<float>::infinity();
   xs[2] = FromBits(0x7FABCDEFu);  // NaN payload
-  xs[3] = 65520.0f;               // rounds to inf
+  xs[3] = 65520.0f;               // rounds to inf in fp16
   xs[4] = std::ldexp(1.0f, -24);  // smallest subnormal half
 
-  Fp16Compressor codec;
-  std::vector<uint8_t> wire;
-  ASSERT_TRUE(codec.Compress(xs.data(), n, nullptr, &wire).ok());
-  ASSERT_EQ(wire.size(), n * 2);
-  std::vector<float> out(n);
-  ASSERT_TRUE(codec.Decompress(wire.data(), wire.size(), n, out.data()).ok());
-  for (size_t i = 0; i < n; ++i) {
-    EXPECT_EQ(Bits(out[i]), Bits(HalfToFloat(FloatToHalf(xs[i])))) << i;
+  for (WireDtype d : {WireDtype::kFp16, WireDtype::kBf16}) {
+    HalfCompressor codec(d);
+    std::vector<uint8_t> wire;
+    ASSERT_TRUE(codec.Compress(xs.data(), n, nullptr, &wire).ok());
+    ASSERT_EQ(wire.size(), n * 2);
+    std::vector<float> out(n);
+    ASSERT_TRUE(
+        codec.Decompress(wire.data(), wire.size(), n, out.data()).ok());
+    for (size_t i = 0; i < n; ++i) {
+      EXPECT_EQ(Bits(out[i]), Bits(RoundTrip16(d, xs[i])))
+          << codec.name() << " " << i;
+    }
+    EXPECT_FALSE(codec.Decompress(wire.data(), wire.size() - 2, n, out.data())
+                     .ok());
   }
 }
 
-TEST(Fp16Compressor, DecompressHandlesUnalignedPayload) {
-  Fp16Compressor codec;
+TEST(HalfCompressor, DecompressHandlesUnalignedPayload) {
   const float xs[4] = {1.0f, -2.5f, 1e-8f, 7.75f};
-  std::vector<uint8_t> wire;
-  ASSERT_TRUE(codec.Compress(xs, 4, nullptr, &wire).ok());
-  // Shift the payload to an odd offset, as framed transports do.
-  std::vector<uint8_t> framed(wire.size() + 1);
-  framed[0] = 0xAB;
-  std::memcpy(framed.data() + 1, wire.data(), wire.size());
-  float out[4];
-  ASSERT_TRUE(codec.Decompress(framed.data() + 1, wire.size(), 4, out).ok());
-  for (int i = 0; i < 4; ++i) {
-    EXPECT_EQ(Bits(out[i]), Bits(HalfToFloat(FloatToHalf(xs[i]))));
+  for (WireDtype d : {WireDtype::kFp16, WireDtype::kBf16}) {
+    HalfCompressor codec(d);
+    std::vector<uint8_t> wire;
+    ASSERT_TRUE(codec.Compress(xs, 4, nullptr, &wire).ok());
+    // Shift the payload to an odd offset, as framed transports do.
+    std::vector<uint8_t> framed(wire.size() + 1);
+    framed[0] = 0xAB;
+    std::memcpy(framed.data() + 1, wire.data(), wire.size());
+    float out[4];
+    ASSERT_TRUE(
+        codec.Decompress(framed.data() + 1, wire.size(), 4, out).ok());
+    for (int i = 0; i < 4; ++i) {
+      EXPECT_EQ(Bits(out[i]), Bits(RoundTrip16(d, xs[i]))) << codec.name();
+    }
   }
 }
 
@@ -263,52 +291,6 @@ TEST(WireHelpers, PackUnpackFp32IsVerbatim) {
   PackWire(WireDtype::kFp32, xs, buf, 3);
   UnpackWire(WireDtype::kFp32, buf, out, 3);
   EXPECT_EQ(0, std::memcmp(xs, out, sizeof(xs)));
-}
-
-TEST(WireHelpers, RoundToWireMatchesPackUnpack) {
-  Rng rng(11);
-  const size_t n = 257;
-  for (WireDtype w : {WireDtype::kFp32, WireDtype::kBf16, WireDtype::kFp16}) {
-    std::vector<float> xs(n), via_pack(n);
-    for (auto& x : xs) x = static_cast<float>(rng.Normal());
-    std::vector<uint8_t> buf(n * WireDtypeBytes(w));
-    PackWire(w, xs.data(), buf.data(), n);
-    UnpackWire(w, buf.data(), via_pack.data(), n);
-    RoundToWire(w, xs.data(), n);  // in place
-    EXPECT_EQ(0, std::memcmp(xs.data(), via_pack.data(), n * 4))
-        << WireDtypeName(w);
-  }
-}
-
-TEST(WireHelpers, ChainCombineImplementsTheRecurrence) {
-  Rng rng(13);
-  const size_t n = 129;
-  for (WireDtype w : {WireDtype::kBf16, WireDtype::kFp16}) {
-    std::vector<float> a(n), b(n);
-    for (size_t i = 0; i < n; ++i) {
-      a[i] = static_cast<float>(rng.Normal());
-      b[i] = static_cast<float>(rng.Normal());
-    }
-    std::vector<uint8_t> acc(n * 2), contrib(n * 2);
-    PackWire(w, a.data(), acc.data(), n);
-    PackWire(w, b.data(), contrib.data(), n);
-    WireChainCombine(w, acc.data(), contrib.data(), n);
-    std::vector<float> got(n);
-    UnpackWire(w, acc.data(), got.data(), n);
-    // Scalar emulation of q = W(F(W(a)) + F(W(b))).
-    for (size_t i = 0; i < n; ++i) {
-      float wa, wb;
-      if (w == WireDtype::kBf16) {
-        wa = Bf16ToFloat(FloatToBf16(a[i]));
-        wb = Bf16ToFloat(FloatToBf16(b[i]));
-        EXPECT_EQ(Bits(got[i]), Bits(Bf16ToFloat(FloatToBf16(wa + wb)))) << i;
-      } else {
-        wa = HalfToFloat(FloatToHalf(a[i]));
-        wb = HalfToFloat(FloatToHalf(b[i]));
-        EXPECT_EQ(Bits(got[i]), Bits(HalfToFloat(FloatToHalf(wa + wb)))) << i;
-      }
-    }
-  }
 }
 
 TEST(WireHelpers, DtypeMetadata) {

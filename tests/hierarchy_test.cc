@@ -19,6 +19,9 @@
 #include "collectives/collectives.h"
 #include "collectives/hierarchy.h"
 #include "collectives/seed.h"
+#include "comm/context.h"
+#include "comm/primitives.h"
+#include "compress/factory.h"
 #include "faults/faulty_transport.h"
 #include "sim/topology.h"
 #include "trace/trace.h"
@@ -241,6 +244,57 @@ TEST(HierarchyTest, SteadyStateHierarchicalDoesZeroPoolMisses) {
   EXPECT_EQ(s.misses, misses_after_warmup)
       << "steady-state hierarchical allreduce still heap-allocates";
   EXPECT_GT(s.hits, 0u);
+
+  // Second input: hierarchical C_LP_S on 2x2 at a 1,089,544-element bucket
+  // (a 1.09M-parameter model), for a quantizing and a 16-bit codec. Its
+  // intra-node phase is the pipelined ring at the default 128 KiB
+  // segments: each rank sends all 17 segments of its reduce-scatter chunk
+  // at once, and each segment travels on as an allgather segment, so up to
+  // 17 per rank — 68 per group — are live in the 128 KiB class together.
+  // Park that peak up front, plus the leaders' payloads (each leader holds
+  // two, receives into two and sends two) and the broadcast vectors; every
+  // class must keep what it parked across steps.
+  ScopedSegmentBytes default_seg(size_t{128} << 10);
+  const ClusterTopology clps_topo = ClusterTopology::Make(2, 2);
+  const int clps_world = clps_topo.world_size();
+  const size_t big = 1089544;
+  const size_t half = ChunkOf(big, 2, 0).count;
+  const size_t segments = WireSegmentsForBytes(half * sizeof(float));
+  for (const char* spec : {"qsgd8", "bf16"}) {
+    CommWorld world(clps_topo, /*seed=*/11);
+    std::vector<CommContext> ctx(clps_world);
+    for (int r = 0; r < clps_world; ++r) {
+      ctx[r].world = &world;
+      ctx[r].rank = r;
+      ctx[r].hierarchical = true;
+    }
+    const auto codec = std::move(MakeCompressor(spec)).value();
+    auto clps_data = MakeInputs(clps_world, big, 0x0c1b5);
+    auto run_clps = [&] {
+      ParallelFor(ctx.size(), [&](size_t r) {
+        ASSERT_TRUE(
+            CLpS(&ctx[r], *codec, clps_data[r].data(), big, nullptr).ok());
+      });
+    };
+    {
+      std::vector<std::vector<uint8_t>> parked;
+      auto park = [&](size_t bytes, size_t count) {
+        for (size_t k = 0; k < count; ++k) {
+          parked.push_back(world.group()->AcquireBuffer(bytes));
+        }
+      };
+      park(ChunkOf(half, segments, 0).count * sizeof(float),
+           clps_world * segments);
+      park(codec->CompressedBytes(ChunkOf(big, 2, 0).count), 12);
+      park(big * sizeof(float), 4);
+      for (auto& buf : parked) world.group()->Recycle(std::move(buf));
+    }
+    run_clps();
+    const uint64_t clps_warm = world.group()->pool_stats().misses;
+    for (int iter = 0; iter < 5; ++iter) run_clps();
+    EXPECT_EQ(world.group()->pool_stats().misses, clps_warm)
+        << spec << ": steady-state hierarchical C_LP_S still heap-allocates";
+  }
 }
 
 TEST(HierarchyTest, HierarchicalTraced) {

@@ -26,8 +26,10 @@ std::ostream& operator<<(std::ostream& os, const Shape& s) {
   return os << s.nodes << "x" << s.devices << (s.hierarchical ? "H" : "F");
 }
 
+// std::string, not const char*: gtest prints a char pointer's address, which
+// would put a per-process value into the ctest name of every case.
 class ClpsSweepTest
-    : public ::testing::TestWithParam<std::tuple<const char*, Shape>> {};
+    : public ::testing::TestWithParam<std::tuple<std::string, Shape>> {};
 
 TEST_P(ClpsSweepTest, AllRanksAgreeAndApproximateSum) {
   const auto [codec_spec, shape] = GetParam();
@@ -69,13 +71,12 @@ TEST_P(ClpsSweepTest, AllRanksAgreeAndApproximateSum) {
     norm += std::pow(expected[i], 2);
   }
   const double rel = std::sqrt(err / std::max(norm, 1e-12));
-  const std::string spec(codec_spec);
-  if (spec == "identity") {
+  if (codec_spec == "identity") {
     EXPECT_LT(rel, 1e-5) << shape;
-  } else if (spec == "fp16") {
+  } else if (codec_spec == "fp16") {
     EXPECT_LT(rel, 1e-2) << shape;
   } else {
-    EXPECT_LT(rel, 0.35) << spec << " " << shape;  // qsgd8/qsgd4
+    EXPECT_LT(rel, 0.35) << codec_spec << " " << shape;  // qsgd8/qsgd4
   }
 }
 

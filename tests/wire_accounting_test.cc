@@ -80,8 +80,10 @@ Measured MeasureWire(const std::string& algorithm, bool hierarchical,
   return m;
 }
 
+// std::string, not const char*: gtest prints a char pointer's address, which
+// would put a per-process value into the ctest name of every case.
 class WireAccountingTest
-    : public ::testing::TestWithParam<std::tuple<const char*, bool>> {};
+    : public ::testing::TestWithParam<std::tuple<std::string, bool>> {};
 
 TEST_P(WireAccountingTest, PredictionMatchesDataPath) {
   const auto [algorithm, hierarchical] = GetParam();
@@ -105,12 +107,13 @@ INSTANTIATE_TEST_SUITE_P(
     FlatAlgorithms, WireAccountingTest,
     ::testing::Combine(::testing::Values("allreduce", "qsgd8",
                                          "allreduce-fp16", "decen-32bits",
-                                         "decen-8bits"),
+                                         "decen-8bits", "allreduce-bf16"),
                        ::testing::Values(false)));
 
 INSTANTIATE_TEST_SUITE_P(
     HierAlgorithms, WireAccountingTest,
-    ::testing::Combine(::testing::Values("allreduce", "qsgd8"),
+    ::testing::Combine(::testing::Values("allreduce", "qsgd8",
+                                         "allreduce-fp16", "allreduce-bf16"),
                        ::testing::Values(true)));
 
 TEST(WireAccountingTest, CompressionActuallyReducesTraffic) {
