@@ -49,11 +49,29 @@ void BM_Decompress(benchmark::State& state, const std::string& spec) {
   state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) * n * 4);
 }
 
+// The fused decode-and-accumulate ScatterReduceExec's merge runs once per
+// group member: acc += decode(payload).
+void BM_DecompressAdd(benchmark::State& state, const std::string& spec) {
+  const size_t n = static_cast<size_t>(state.range(0));
+  auto codec = std::move(MakeCompressor(spec)).value();
+  const auto input = MakeInput(n);
+  Rng rng(7);
+  std::vector<uint8_t> payload;
+  BAGUA_CHECK(codec->Compress(input.data(), n, &rng, &payload).ok());
+  std::vector<float> acc(n, 0.0f);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        codec->DecompressAdd(payload.data(), payload.size(), n, acc.data()));
+  }
+  state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) * n * 4);
+}
+
 #define CODEC_BENCH(spec_name, spec)                                    \
   BENCHMARK_CAPTURE(BM_Compress, spec_name, spec)                       \
       ->Arg(1 << 14)                                                    \
       ->Arg(1 << 18);                                                   \
-  BENCHMARK_CAPTURE(BM_Decompress, spec_name, spec)->Arg(1 << 18)
+  BENCHMARK_CAPTURE(BM_Decompress, spec_name, spec)->Arg(1 << 18);      \
+  BENCHMARK_CAPTURE(BM_DecompressAdd, spec_name, spec)->Arg(1 << 18)
 
 CODEC_BENCH(identity, "identity");
 CODEC_BENCH(fp16, "fp16");
@@ -61,6 +79,12 @@ CODEC_BENCH(qsgd8, "qsgd8");
 CODEC_BENCH(qsgd4, "qsgd4");
 CODEC_BENCH(onebit, "onebit");
 CODEC_BENCH(topk1pct, "topk:0.01");
+
+// One leader partition of a 1.09M-parameter bucket on 2 nodes: the size
+// the C_LP_S kernel encodes and decodes per member on the training path.
+constexpr int64_t kLeaderPartition = 544772;
+BENCHMARK_CAPTURE(BM_Compress, qsgd8, "qsgd8")->Arg(kLeaderPartition);
+BENCHMARK_CAPTURE(BM_DecompressAdd, qsgd8, "qsgd8")->Arg(kLeaderPartition);
 
 }  // namespace
 }  // namespace bagua

@@ -10,8 +10,10 @@ cd "$(dirname "$0")/.."
 SANITIZER="${1:-thread}"
 JOBS="$(nproc 2>/dev/null || echo 4)"
 
+# Every configure names its build type, so a type cached in build/ from an
+# earlier hand configure cannot change what the perf gates measure.
 echo "==> plain build + tier-1 tests"
-cmake -B build -S . >/dev/null
+cmake -B build -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo >/dev/null
 cmake --build build -j "$JOBS"
 ctest --test-dir build --output-on-failure -j "$JOBS"
 
@@ -54,7 +56,8 @@ echo "==> arena allocator tests (ctest -L mem)"
 ctest --test-dir build --output-on-failure -j "$JOBS" -L mem
 
 echo "==> ${SANITIZER} sanitizer build + tier-1 tests"
-cmake -B "build-${SANITIZER}" -S . -DBAGUA_SANITIZE="${SANITIZER}" >/dev/null
+cmake -B "build-${SANITIZER}" -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
+  -DBAGUA_SANITIZE="${SANITIZER}" >/dev/null
 cmake --build "build-${SANITIZER}" -j "$JOBS"
 ctest --test-dir "build-${SANITIZER}" --output-on-failure -j "$JOBS"
 
@@ -81,7 +84,8 @@ ctest --test-dir "build-${SANITIZER}" --output-on-failure -j "$JOBS" -L precisio
 
 if [ "${SANITIZER}" != "address" ]; then
   echo "==> ASan build + arena/precision tests (ctest -L mem, -L precision)"
-  cmake -B build-address -S . -DBAGUA_SANITIZE=address >/dev/null
+  cmake -B build-address -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
+    -DBAGUA_SANITIZE=address >/dev/null
   cmake --build build-address -j "$JOBS" --target arena_test pool_test \
     dtype_test wire_codec_test
   ctest --test-dir build-address --output-on-failure -j "$JOBS" -L mem

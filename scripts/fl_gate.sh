@@ -39,7 +39,7 @@ ATTEMPTS=3
 REPORT="BENCH_FL.json"
 
 echo "==> building bench_fl (${BUILD_DIR})"
-cmake -B "$BUILD_DIR" -S . >/dev/null
+cmake -B "$BUILD_DIR" -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo >/dev/null
 cmake --build "$BUILD_DIR" -j "$JOBS" --target bench_fl >/dev/null
 
 json_num() { grep -o "\"$1\": *-*[0-9.]*" "$REPORT" | grep -o '[0-9.-]*$'; }

@@ -28,7 +28,7 @@ JOBS="$(nproc 2>/dev/null || echo 4)"
 REPORT="BENCH_MEM.json"
 
 echo "==> building bench_mem (${BUILD_DIR})"
-cmake -B "$BUILD_DIR" -S . >/dev/null
+cmake -B "$BUILD_DIR" -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo >/dev/null
 cmake --build "$BUILD_DIR" -j "$JOBS" --target bench_mem >/dev/null
 
 json_num() { grep -o "\"$1\": *-*[0-9.]*" "$REPORT" | grep -o '[0-9.-]*$'; }

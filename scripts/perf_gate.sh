@@ -16,7 +16,7 @@ MIN_SPEEDUP="2.0"
 REPORT="BENCH_KERNELS.json"
 
 echo "==> building bench binaries (${BUILD_DIR})"
-cmake -B "$BUILD_DIR" -S . >/dev/null
+cmake -B "$BUILD_DIR" -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo >/dev/null
 cmake --build "$BUILD_DIR" -j "$JOBS" \
   --target bench_micro_primitives bench_table4_epoch_time >/dev/null
 

@@ -28,7 +28,7 @@ MIN_PS_RANKS="512"
 REPORT="BENCH_SCALE.json"
 
 echo "==> building bench_scalability (${BUILD_DIR})"
-cmake -B "$BUILD_DIR" -S . >/dev/null
+cmake -B "$BUILD_DIR" -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo >/dev/null
 cmake --build "$BUILD_DIR" -j "$JOBS" --target bench_scalability >/dev/null
 
 json_num() { grep -o "\"$1\": *-*[0-9.]*" "$REPORT" | grep -o '[0-9.-]*$'; }

@@ -27,7 +27,7 @@ ATTEMPTS=3
 REPORT="BENCH_SERVING.json"
 
 echo "==> building bench_serving (${BUILD_DIR})"
-cmake -B "$BUILD_DIR" -S . >/dev/null
+cmake -B "$BUILD_DIR" -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo >/dev/null
 cmake --build "$BUILD_DIR" -j "$JOBS" --target bench_serving >/dev/null
 
 json_num() { grep -o "\"$1\": *-*[0-9.]*" "$REPORT" | grep -o '[0-9.-]*$'; }

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <optional>
 
 #include "base/arena.h"
 #include "base/logging.h"
@@ -71,21 +72,21 @@ Status ScatterReduceExec(CommContext* ctx, const std::vector<int>& ranks,
   // the first chunks), so it bounds every scratch.
   const size_t maxc = std::max<size_t>(ChunkOf(n, m, 0).count, 1);
 
-  // u = x + δ (or x when error compensation is off). Note: §3.2 writes the
-  // residual with a minus sign; the telescoping error-feedback recursion of
-  // DoubleSqueeze / 1-bit Adam *adds* the carried residual, so we store δ
-  // with the standard sign (see DESIGN.md, "Known deltas").
-  ArenaScratch u_scratch(&CommArena(), n * sizeof(float));
-  float* u = u_scratch.floats();
-  if (state != nullptr && state->worker_err.defined()) {
+  // u = x + δ (or x itself when error compensation is off). Note: §3.2
+  // writes the residual with a minus sign; the telescoping error-feedback
+  // recursion of DoubleSqueeze / 1-bit Adam *adds* the carried residual,
+  // so we store δ with the standard sign (see DESIGN.md, "Known deltas").
+  // Phase 1 is done with u before phase 3 writes into data.
+  const bool worker_ec = state != nullptr && state->worker_err.defined();
+  std::optional<ArenaScratch> u_scratch;
+  const float* u = data;
+  if (worker_ec) {
     BAGUA_CHECK_EQ(state->worker_err.numel(), n);
-    Add(data, state->worker_err.data(), u, n);
-  } else {
-    std::memcpy(u, data, n * sizeof(float));
+    u_scratch.emplace(&CommArena(), n * sizeof(float));
+    Add(data, state->worker_err.data(), u_scratch->floats(), n);
+    u = u_scratch->floats();
   }
 
-  ArenaScratch decode_scratch(&CommArena(), maxc * sizeof(float));
-  float* decode_buf = decode_scratch.floats();
   // Compressors assign out to exactly CompressedBytes(count), which never
   // exceeds the capacity acquired here, so Compress never reallocates.
   std::vector<uint8_t> payload = group->AcquireBuffer(codec.CompressedBytes(maxc));
@@ -101,14 +102,13 @@ Status ScatterReduceExec(CommContext* ctx, const std::vector<int>& ranks,
       const Chunk c = ChunkOf(n, m, j);
       RETURN_IF_ERROR(
           codec.Compress(u + c.begin, c.count, &rng, &payload));
-      if (state != nullptr && state->worker_err.defined()) {
-        // δ' = (x − δ) − Q(x − δ), per partition.
-        RETURN_IF_ERROR(codec.Decompress(payload.data(), payload.size(),
-                                         c.count, decode_buf));
+      if (worker_ec) {
+        // δ' = (x − δ) − Q(x − δ), per partition: Q decodes into δ's
+        // slice, which then becomes u − Q in place.
         float* err = state->worker_err.data() + c.begin;
-        for (size_t k = 0; k < c.count; ++k) {
-          err[k] = u[c.begin + k] - decode_buf[k];
-        }
+        RETURN_IF_ERROR(
+            codec.Decompress(payload.data(), payload.size(), c.count, err));
+        for (size_t k = 0; k < c.count; ++k) err[k] = u[c.begin + k] - err[k];
       }
       if (static_cast<int>(j) == i) {
         own_partition_payload.assign(payload.begin(), payload.end());
@@ -122,10 +122,11 @@ Status ScatterReduceExec(CommContext* ctx, const std::vector<int>& ranks,
       }
     }
 
-    // Phase 2 (server side of partition i): receive, decode, merge — with
-    // the next member's receive posted before the current decode+reduce
-    // runs, double-buffered. The merge stays in ascending member order, so
-    // the float accumulation is bitwise the seed's.
+    // Phase 2 (server side of partition i): receive, then decode-and-add
+    // into the sum in one pass — with the next member's receive posted
+    // before the current decode-add runs, double-buffered. The merge stays
+    // in ascending member order from a zeroed sum, so the float
+    // accumulation is bitwise the seed's decode-then-Axpy.
     const Chunk mine = ChunkOf(n, m, i);
     ArenaScratch sum_scratch(&CommArena(),
                              std::max<size_t>(mine.count, 1) * sizeof(float));
@@ -154,9 +155,8 @@ Status ScatterReduceExec(CommContext* ctx, const std::vector<int>& ranks,
                                     &rxbufs[cur]);
         }
       }
-      RETURN_IF_ERROR(codec.Decompress(pj->data(), pj->size(), mine.count,
-                                       decode_buf));
-      Axpy(1.0f, decode_buf, sum, mine.count);
+      RETURN_IF_ERROR(
+          codec.DecompressAdd(pj->data(), pj->size(), mine.count, sum));
     }
 
     // Apply server-side error compensation and re-compress the merged
@@ -167,17 +167,15 @@ Status ScatterReduceExec(CommContext* ctx, const std::vector<int>& ranks,
     }
     RETURN_IF_ERROR(codec.Compress(sum, mine.count, &rng, &payload));
     if (state != nullptr && state->server_err.defined()) {
-      RETURN_IF_ERROR(codec.Decompress(payload.data(), payload.size(),
-                                       mine.count, decode_buf));
       float* err = state->server_err.data();
-      for (size_t k = 0; k < mine.count; ++k) {
-        err[k] = sum[k] - decode_buf[k];
-      }
+      RETURN_IF_ERROR(
+          codec.Decompress(payload.data(), payload.size(), mine.count, err));
+      for (size_t k = 0; k < mine.count; ++k) err[k] = sum[k] - err[k];
     }
 
-    // Phase 3: every server broadcasts its merged partition; decode into
-    // x'. Same double-buffered shape: the next partition is in flight
-    // while the current one decodes.
+    // Phase 3: every server broadcasts its merged partition; decode
+    // straight into x'. Same double-buffered shape: the next partition is
+    // in flight while the current one decodes.
     {
       TraceSpan span(ctx->rank, TraceStream::kComm, "scatter_reduce.bcast",
                      (m - 1) * payload.size());
@@ -190,8 +188,7 @@ Status ScatterReduceExec(CommContext* ctx, const std::vector<int>& ranks,
       }
     }
     RETURN_IF_ERROR(codec.Decompress(payload.data(), payload.size(),
-                                     mine.count, decode_buf));
-    std::memcpy(data + mine.begin, decode_buf, mine.count * sizeof(float));
+                                     mine.count, data + mine.begin));
     for (size_t j = 0; j < m; ++j) {
       if (static_cast<int>(j) == i) continue;
       if (!pending.valid()) {
@@ -209,8 +206,7 @@ Status ScatterReduceExec(CommContext* ctx, const std::vector<int>& ranks,
       }
       const Chunk c = ChunkOf(n, m, j);
       RETURN_IF_ERROR(
-          codec.Decompress(rx.data(), rx.size(), c.count, decode_buf));
-      std::memcpy(data + c.begin, decode_buf, c.count * sizeof(float));
+          codec.Decompress(rx.data(), rx.size(), c.count, data + c.begin));
     }
     return Status::OK();
   }();

@@ -37,6 +37,13 @@ class Compressor {
   virtual Status Decompress(const uint8_t* in, size_t bytes, size_t n,
                             float* out) const = 0;
 
+  /// Decodes a payload and adds it into `acc[0, n)`: bitwise the same as
+  /// Decompress into a buffer followed by Add(acc, buffer, acc). The
+  /// default does exactly that through "comm" arena scratch; codecs whose
+  /// decode is elementwise override it with a fused single pass.
+  virtual Status DecompressAdd(const uint8_t* in, size_t bytes, size_t n,
+                               float* acc) const;
+
   /// Average compressed bytes per element (for reporting).
   double BytesPerElement() const {
     return static_cast<double>(CompressedBytes(1 << 16)) / (1 << 16);
@@ -53,6 +60,8 @@ class IdentityCompressor : public Compressor {
                   std::vector<uint8_t>* out) const override;
   Status Decompress(const uint8_t* in, size_t bytes, size_t n,
                     float* out) const override;
+  Status DecompressAdd(const uint8_t* in, size_t bytes, size_t n,
+                       float* acc) const override;
 };
 
 /// \brief Convenience: round-trips `in` through the codec into `out`

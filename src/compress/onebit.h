@@ -22,6 +22,8 @@ class OneBitCompressor : public Compressor {
                   std::vector<uint8_t>* out) const override;
   Status Decompress(const uint8_t* in, size_t bytes, size_t n,
                     float* out) const override;
+  Status DecompressAdd(const uint8_t* in, size_t bytes, size_t n,
+                       float* acc) const override;
 
   size_t block_size() const { return block_size_; }
 

@@ -12,6 +12,11 @@ namespace bagua {
 /// element. Levels are assigned by *stochastic rounding*, which makes the
 /// codec unbiased: E[decode(encode(x))] = x. The paper's "QSGD" algorithm
 /// uses the 8-bit configuration.
+///
+/// Element i's rounding draw is 24 bits of a 32-bit counter hash of (one
+/// rng->Next() per call, i), so the payload is a pure function of (input,
+/// that draw, element index) and the same at any intra-op thread count.
+/// Without an rng, levels round to nearest.
 class QsgdCompressor : public Compressor {
  public:
   /// \param bits level width; supported: 2, 4, 8 (signed levels).
@@ -24,6 +29,8 @@ class QsgdCompressor : public Compressor {
                   std::vector<uint8_t>* out) const override;
   Status Decompress(const uint8_t* in, size_t bytes, size_t n,
                     float* out) const override;
+  Status DecompressAdd(const uint8_t* in, size_t bytes, size_t n,
+                       float* acc) const override;
 
   int bits() const { return bits_; }
   size_t block_size() const { return block_size_; }

@@ -24,7 +24,6 @@
 #include "tensor/dtype.h"
 
 #include <chrono>
-#include <cstring>
 
 #include "base/parallel.h"
 #include "trace/metrics.h"
@@ -183,9 +182,6 @@ void HalfToFloatN(const uint16_t* in, float* out, size_t n) {
 
 void PackWire(WireDtype d, const float* in, void* wire, size_t n) {
   switch (d) {
-    case WireDtype::kFp32:
-      std::memcpy(wire, in, n * sizeof(float));
-      return;
     case WireDtype::kBf16:
       FloatToBf16N(in, static_cast<uint16_t*>(wire), n);
       return;
@@ -197,9 +193,6 @@ void PackWire(WireDtype d, const float* in, void* wire, size_t n) {
 
 void UnpackWire(WireDtype d, const void* wire, float* out, size_t n) {
   switch (d) {
-    case WireDtype::kFp32:
-      std::memcpy(out, wire, n * sizeof(float));
-      return;
     case WireDtype::kBf16:
       Bf16ToFloatN(static_cast<const uint16_t*>(wire), out, n);
       return;

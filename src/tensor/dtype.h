@@ -17,8 +17,9 @@ namespace bagua {
 /// identical to the scalar bf16 conversions here and to the frozen scalar
 /// references in tensor/reference.h (tests/dtype_test.cc enforces it), so
 /// a value quantized by any layer of the stack produces the same bits.
+/// Full-precision fp32 has no WireDtype: an fp32 wire is the identity
+/// codec (compress/compressor.h).
 enum class WireDtype : uint8_t {
-  kFp32 = 0,  ///< 4-byte IEEE binary32 — the identity wire format.
   kBf16 = 1,  ///< 2-byte bfloat16 (1/8/7): fp32's exponent range, 8-bit
               ///< mantissa. The default reduced wire dtype — no gradient
               ///< over/underflow surprises, exactly why training systems
@@ -27,13 +28,8 @@ enum class WireDtype : uint8_t {
               ///< exponent. The "Horovod 16bits" codec dtype.
 };
 
-constexpr size_t WireDtypeBytes(WireDtype d) {
-  return d == WireDtype::kFp32 ? 4 : 2;
-}
-
 constexpr const char* WireDtypeName(WireDtype d) {
   switch (d) {
-    case WireDtype::kFp32: return "fp32";
     case WireDtype::kBf16: return "bf16";
     case WireDtype::kFp16: return "fp16";
   }
@@ -84,9 +80,8 @@ void HalfToFloatN(const uint16_t* in, float* out, size_t n);
 
 /// \name Wire pack/unpack — the dtype-dispatched face of the batch kernels.
 ///
-/// `wire` buffers hold n elements of WireDtypeBytes(d) each and must be
-/// aligned for that element type (transport payload buffers and arena
-/// scratch both are). fp32 is a memcpy.
+/// `wire` buffers hold n 2-byte elements and must be aligned for uint16_t
+/// (transport payload buffers and arena scratch both are).
 /// @{
 void PackWire(WireDtype d, const float* in, void* wire, size_t n);
 void UnpackWire(WireDtype d, const void* wire, float* out, size_t n);

@@ -284,20 +284,7 @@ TEST(HalfCompressor, DecompressHandlesUnalignedPayload) {
 
 // ------------------------------------------------------------ wire helpers
 
-TEST(WireHelpers, PackUnpackFp32IsVerbatim) {
-  const float xs[3] = {1.5f, -0.0f, 3e38f};
-  uint8_t buf[12];
-  float out[3];
-  PackWire(WireDtype::kFp32, xs, buf, 3);
-  UnpackWire(WireDtype::kFp32, buf, out, 3);
-  EXPECT_EQ(0, std::memcmp(xs, out, sizeof(xs)));
-}
-
 TEST(WireHelpers, DtypeMetadata) {
-  EXPECT_EQ(WireDtypeBytes(WireDtype::kFp32), 4u);
-  EXPECT_EQ(WireDtypeBytes(WireDtype::kBf16), 2u);
-  EXPECT_EQ(WireDtypeBytes(WireDtype::kFp16), 2u);
-  EXPECT_STREQ(WireDtypeName(WireDtype::kFp32), "fp32");
   EXPECT_STREQ(WireDtypeName(WireDtype::kBf16), "bf16");
   EXPECT_STREQ(WireDtypeName(WireDtype::kFp16), "fp16");
 }
