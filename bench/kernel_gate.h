@@ -19,10 +19,12 @@ namespace bagua {
 /// \brief The kernel perf gate behind `--kernels-json=PATH`.
 ///
 /// Times the frozen seed GEMM (tensor/reference.h, default build flags)
-/// against the blocked kernel (tensor/gemm.cc) at a few square sizes and
-/// writes a flat JSON report. scripts/perf_gate.sh greps `"speedup_256"`
-/// out of that file and fails the build below 2.0 — the floor the blocked
-/// kernel must clear on one core, with no help from the thread pool.
+/// against the blocked kernel (tensor/gemm.cc) at a few square sizes,
+/// plus the blocked kernel alone at the trainers' layer shapes
+/// (report-only `gflops_*` rows), and writes a flat JSON report.
+/// scripts/perf_gate.sh greps `"speedup_256"` out of that file and fails
+/// the build below 2.0 — the floor the blocked kernel must clear on one
+/// core, with no help from the thread pool.
 ///
 /// Timing is min-of-reps (the least-noisy point estimate for a hot,
 /// deterministic kernel); correctness rides along as the max absolute
@@ -74,6 +76,52 @@ inline KernelGateRow RunKernelGateSize(size_t s, int reps) {
   return row;
 }
 
+/// One report-only row: the blocked kernel's rate on a GEMM the trainers
+/// run, at its real shape and transpose.
+struct KernelShapeRow {
+  const char* key = "";  // e.g. "gemm_tb_16x512x512"
+  double ms = 0.0;
+  double gflops = 0.0;
+};
+
+/// The dense layers' GEMMs: the 1024-wide MLP at batch 128 (forward,
+/// weight gradient, input gradient — the qsgd compute workload's fc1) and
+/// the 512-wide MLP's input gradient at batch 16 (the dense-wire
+/// workload's fc1). accumulate follows how DenseLayer calls each.
+inline std::vector<KernelShapeRow> RunKernelShapeRows(int reps) {
+  using GemmFn = void (*)(const float*, const float*, float*, size_t, size_t,
+                          size_t, bool);
+  struct Shape {
+    const char* key;
+    GemmFn fn;
+    size_t m, k, n;
+    bool accumulate;
+  };
+  const Shape shapes[] = {
+      {"gemm_128x1024x1024", &Gemm, 128, 1024, 1024, false},
+      {"gemm_ta_1024x128x1024", &GemmTransA, 1024, 128, 1024, true},
+      {"gemm_tb_128x1024x1024", &GemmTransB, 128, 1024, 1024, false},
+      {"gemm_tb_16x512x512", &GemmTransB, 16, 512, 512, false},
+  };
+  std::vector<KernelShapeRow> rows;
+  for (const Shape& s : shapes) {
+    std::vector<float> a(s.m * s.k), b(s.k * s.n), c(s.m * s.n, 0.0f);
+    Rng rng(MixSeed(0x5a9eu, s.m * s.k * s.n));
+    for (auto& x : a) x = static_cast<float>(rng.Normal());
+    for (auto& x : b) x = static_cast<float>(rng.Normal());
+    KernelShapeRow row;
+    row.key = s.key;
+    row.ms = internal::MinOfRepsMs(reps, [&] {
+      s.fn(a.data(), b.data(), c.data(), s.m, s.k, s.n, s.accumulate);
+    });
+    row.gflops = row.ms > 0.0 ? 2.0 * static_cast<double>(s.m * s.k * s.n) /
+                                    (row.ms * 1e6)
+                              : 0.0;
+    rows.push_back(row);
+  }
+  return rows;
+}
+
 /// Runs the gate and writes the JSON report to `path`. Returns 0 on
 /// success, 1 if the report could not be written. The pass/fail decision
 /// (speedup_256 >= 2.0) is left to scripts/perf_gate.sh so a plain bench
@@ -94,6 +142,13 @@ inline int RunKernelGate(const std::string& path, bool quick) {
                  row.size, row.ref_ms, row.blocked_ms, row.speedup,
                  row.max_abs_diff);
     rows.push_back(row);
+  }
+  // Report-only: no gate reads these, they track the trainers' shapes.
+  const std::vector<KernelShapeRow> shape_rows =
+      RunKernelShapeRows(quick ? 5 : 20);
+  for (const KernelShapeRow& row : shape_rows) {
+    std::fprintf(stdout, "  %-24s blocked %8.3f ms  %6.1f GFLOP/s\n",
+                 row.key, row.ms, row.gflops);
   }
 
   std::ofstream out(path, std::ios::binary);
@@ -117,6 +172,13 @@ inline int RunKernelGate(const std::string& path, bool quick) {
                   "  \"max_abs_diff_%zu\": %.9g,\n",
                   row.size, row.ref_ms, row.size, row.blocked_ms, row.size,
                   row.speedup, row.size, row.max_abs_diff);
+    out << buf;
+  }
+  for (const KernelShapeRow& row : shape_rows) {
+    std::snprintf(buf, sizeof(buf),
+                  "  \"ms_%s\": %.6f,\n"
+                  "  \"gflops_%s\": %.2f,\n",
+                  row.key, row.ms, row.key, row.gflops);
     out << buf;
   }
   out << "  \"sizes\": " << rows.size() << "\n";

@@ -55,6 +55,19 @@ ctest --test-dir build --output-on-failure -j "$JOBS" -L precision
 echo "==> arena allocator tests (ctest -L mem)"
 ctest --test-dir build --output-on-failure -j "$JOBS" -L mem
 
+# The kernel TUs lower their compiler vector types to whatever the target
+# has; a build without -march=native (baseline x86-64: SSE2, no FMA) takes
+# the narrow GEMM tile and the unfused multiply-add, and must still match
+# the GEMM order oracle and the QSGD oracle bit for bit. Only the targets
+# labelled "kernels" in tests/CMakeLists.txt are built.
+echo "==> portable kernels (BAGUA_NATIVE_KERNELS=OFF, ctest -L kernels)"
+cmake -B build-portable -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
+  -DBAGUA_NATIVE_KERNELS=OFF >/dev/null
+cmake --build build-portable -j "$JOBS" --target parallel_test kernels_test \
+  dtype_test compress_test codec_kernel_test determinism_test \
+  bench_smoke_test
+ctest --test-dir build-portable --output-on-failure -j "$JOBS" -L kernels
+
 echo "==> ${SANITIZER} sanitizer build + tier-1 tests"
 cmake -B "build-${SANITIZER}" -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
   -DBAGUA_SANITIZE="${SANITIZER}" >/dev/null

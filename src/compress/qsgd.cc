@@ -50,6 +50,19 @@ inline uint32_t CounterHash(uint32_t i, uint32_t k0, uint32_t k1) {
   return h;
 }
 
+/// A block whose max |x| is below levels / FLT_MAX would get
+/// inv = levels / scale = +inf, and every nonzero element would code as
+/// ±levels. Such a tiny block is coded against scale * 2^64 instead (exact,
+/// a power of two): the encoder quantizes x * 2^64 and the decoder scales
+/// its values back by 2^-64. The stored scale stays the block's max |x|,
+/// and every other block codes and decodes as before.
+constexpr float kTinyUp = 0x1p64f;
+constexpr float kTinyDown = 0x1p-64f;
+
+inline bool IsTinyScale(float scale, int32_t levels) {
+  return scale > 0.0f && std::isinf(static_cast<float>(levels) / scale);
+}
+
 /// max |x[k]| over the block, exactly as the scalar `if (a > s) s = a`
 /// scan from 0: for non-NaN floats, |x| orders like its bit pattern, so the
 /// max is an unsigned-integer reduction (which vectorizes). A NaN, whose
@@ -75,21 +88,22 @@ float BlockAbsMax(const float* __restrict__ x, size_t count) {
   return s;
 }
 
-/// Stored codes (level + levels, in [0, 2*levels]) of x[0, count), whose
-/// first element has index `first` in the call. Branch-free so it
-/// vectorizes; the floor comes from a truncating convert (std::floor would
-/// block vectorization under the default trapping-math). v is clamped to
+/// Stored codes (level + levels, in [0, 2*levels]) of x[0, count) scaled
+/// by `pre` (1, or kTinyUp in a tiny block), whose first element has index
+/// `first` in the call. Branch-free so it vectorizes; the floor comes
+/// from a truncating convert (std::floor would block vectorization under
+/// the default trapping-math). v is clamped to
 /// [-levels, levels] first, which keeps the convert defined and gives the
 /// same level as clamping the rounded level; a NaN (an inf or NaN input)
 /// encodes as level 0. Without an rng the draw is a constant 1/2: round to
 /// nearest, ties toward -inf.
 template <bool kStochastic>
-void Quantize(const float* __restrict__ x, size_t count, float inv,
-              int32_t levels, uint32_t first, uint32_t k0, uint32_t k1,
-              uint8_t* __restrict__ codes) {
+void Quantize(const float* __restrict__ x, size_t count, float pre,
+              float inv, int32_t levels, uint32_t first, uint32_t k0,
+              uint32_t k1, uint8_t* __restrict__ codes) {
   const float top = static_cast<float>(levels);
   for (size_t k = 0; k < count; ++k) {
-    const float raw = x[k] * inv;
+    const float raw = (x[k] * pre) * inv;
     // (This order of the NaN select and the clamp is one gcc vectorizes.)
     const float v = std::min(std::max(raw == raw ? raw : 0.0f, -top), top);
     const int32_t t = static_cast<int32_t>(v);
@@ -149,6 +163,7 @@ void EncodeChunk(const Layout& l, const float* in, size_t lo, size_t hi,
   constexpr size_t kPer = 8 / kBits;
   uint8_t tile[kTile];
   size_t cur_block = SIZE_MAX;
+  float pre = 1.0f;
   float inv = 0.0f;
   for (size_t t0 = lo; t0 < hi; t0 += kTile) {
     const size_t t1 = std::min(hi, t0 + kTile);
@@ -160,11 +175,13 @@ void EncodeChunk(const Layout& l, const float* in, size_t lo, size_t hi,
       if (b != cur_block) {
         const float scale = BlockAbsMax(in + bbegin, bend - bbegin);
         if (bbegin >= lo) scales[b] = scale;
-        inv = scale > 0.0f ? static_cast<float>(l.levels) / scale : 0.0f;
+        pre = IsTinyScale(scale, l.levels) ? kTinyUp : 1.0f;
+        inv = scale > 0.0f ? static_cast<float>(l.levels) / (scale * pre)
+                           : 0.0f;
         cur_block = b;
       }
       const size_t e = std::min(t1, bend);
-      Quantize<kStochastic>(in + s, e - s, inv, l.levels,
+      Quantize<kStochastic>(in + s, e - s, pre, inv, l.levels,
                             static_cast<uint32_t>(s), k0, k1,
                             codes + (s - t0));
       s = e;
@@ -195,13 +212,18 @@ void DecodeChunk(const Layout& l, const float* scales, const uint8_t* packed,
     for (size_t s = t0; s < t1;) {
       const size_t b = s / l.block_size;
       const size_t e = std::min(t1, (b + 1) * l.block_size);
-      const float step = scales[b] / static_cast<float>(l.levels);
+      const bool tiny = IsTinyScale(scales[b], l.levels);
+      const float post = tiny ? kTinyDown : 1.0f;
+      const float step = (tiny ? scales[b] * kTinyUp : scales[b]) /
+                         static_cast<float>(l.levels);
       const uint8_t* __restrict__ c =
           kBits == 8 ? packed + s : tile + (s - t0);
       float* __restrict__ o = out + s;
       for (size_t k = 0; k < e - s; ++k) {
         const float value =
-            static_cast<float>(static_cast<int32_t>(c[k]) - l.levels) * step;
+            (static_cast<float>(static_cast<int32_t>(c[k]) - l.levels) *
+             step) *
+            post;
         if constexpr (kAdd) {
           o[k] += value;
         } else {

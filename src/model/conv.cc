@@ -144,9 +144,7 @@ Status Conv2dLayer::Backward(const Tensor& grad_out, Tensor* grad_in) {
     case Activation::kNone:
       break;
     case Activation::kRelu:
-      for (size_t i = 0; i < g.numel(); ++i) {
-        if (output_[i] <= 0.0f) g[i] = 0.0f;
-      }
+      ReluMask(output_.data(), g.data(), g.numel());
       break;
     case Activation::kTanh:
       for (size_t i = 0; i < g.numel(); ++i) {

@@ -36,23 +36,12 @@ Status DenseLayer::Forward(const Tensor& in, Tensor* out) {
   input_ = in.Clone();
   *out = Tensor::Zeros({batch, out_dim_}, name_ + ".out");
   Gemm(in.data(), w_.data(), out->data(), batch, in_dim_, out_dim_);
-  for (size_t r = 0; r < batch; ++r) {
-    float* row = out->data() + r * out_dim_;
-    for (size_t c = 0; c < out_dim_; ++c) row[c] += b_[c];
-  }
-  switch (act_) {
-    case Activation::kNone:
-      break;
-    case Activation::kRelu:
-      for (size_t i = 0; i < out->numel(); ++i) {
-        if ((*out)[i] < 0.0f) (*out)[i] = 0.0f;
-      }
-      break;
-    case Activation::kTanh:
-      for (size_t i = 0; i < out->numel(); ++i) {
-        (*out)[i] = std::tanh((*out)[i]);
-      }
-      break;
+  AddBias(out->data(), b_.data(), batch, out_dim_,
+          /*relu=*/act_ == Activation::kRelu);
+  if (act_ == Activation::kTanh) {
+    for (size_t i = 0; i < out->numel(); ++i) {
+      (*out)[i] = std::tanh((*out)[i]);
+    }
   }
   output_ = out->Clone();
   return Status::OK();
@@ -72,9 +61,7 @@ Status DenseLayer::Backward(const Tensor& grad_out, Tensor* grad_in) {
     case Activation::kNone:
       break;
     case Activation::kRelu:
-      for (size_t i = 0; i < g.numel(); ++i) {
-        if (output_[i] <= 0.0f) g[i] = 0.0f;
-      }
+      ReluMask(output_.data(), g.data(), g.numel());
       break;
     case Activation::kTanh:
       for (size_t i = 0; i < g.numel(); ++i) {
@@ -86,10 +73,7 @@ Status DenseLayer::Backward(const Tensor& grad_out, Tensor* grad_in) {
   GemmTransA(input_.data(), g.data(), gw_.data(), in_dim_, batch, out_dim_,
              /*accumulate=*/true);
   // gb[out] += column sums of g
-  for (size_t r = 0; r < batch; ++r) {
-    const float* row = g.data() + r * out_dim_;
-    for (size_t c = 0; c < out_dim_; ++c) gb_[c] += row[c];
-  }
+  AddRows(g.data(), batch, out_dim_, gb_.data());
   if (grad_in != nullptr) {
     // grad_in[batch,in] = g [batch,out] * W^T (W stored [in,out])
     *grad_in = Tensor::Zeros({batch, in_dim_}, name_ + ".gin");

@@ -210,6 +210,36 @@ float AbsMean(const float* x, size_t n) {
   return static_cast<float>(s / static_cast<double>(n));
 }
 
+void AddBias(float* y, const float* bias, size_t rows, size_t cols,
+             bool relu) {
+  const float* __restrict__ bp = bias;
+  for (size_t r = 0; r < rows; ++r) {
+    float* __restrict__ row = y + r * cols;
+    if (relu) {
+      for (size_t c = 0; c < cols; ++c) {
+        const float v = row[c] + bp[c];
+        row[c] = v < 0.0f ? 0.0f : v;
+      }
+    } else {
+      for (size_t c = 0; c < cols; ++c) row[c] += bp[c];
+    }
+  }
+}
+
+void ReluMask(const float* out, float* g, size_t n) {
+  const float* __restrict__ op = out;
+  float* __restrict__ gp = g;
+  for (size_t i = 0; i < n; ++i) gp[i] = op[i] <= 0.0f ? 0.0f : gp[i];
+}
+
+void AddRows(const float* g, size_t rows, size_t cols, float* acc) {
+  float* __restrict__ ap = acc;
+  for (size_t r = 0; r < rows; ++r) {
+    const float* __restrict__ row = g + r * cols;
+    for (size_t c = 0; c < cols; ++c) ap[c] += row[c];
+  }
+}
+
 Status AxpyTensor(float alpha, const Tensor& x, Tensor* y) {
   if (x.numel() != y->numel()) {
     return Status::InvalidArgument(StrFormat("Axpy size mismatch: %zu vs %zu",

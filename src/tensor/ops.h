@@ -54,6 +54,22 @@ Status AxpyTensor(float alpha, const Tensor& x, Tensor* y);
 Status AddTensor(const Tensor& a, const Tensor& b, Tensor* out);
 double L2NormTensor(const Tensor& x);
 
+/// Dense-layer epilogues, branch-free and bitwise equal to the plain
+/// loops they replace (the comparisons below keep NaN and -0.0 intact).
+/// Their spans must not overlap.
+///
+/// y[r, c] += bias[c] over a [rows, cols] row-major y; with `relu`, each
+/// sum then becomes `sum < 0 ? 0 : sum` in the same pass.
+void AddBias(float* y, const float* bias, size_t rows, size_t cols,
+             bool relu);
+
+/// ReLU backward: g[i] = 0 where out[i] <= 0 holds, else unchanged.
+void ReluMask(const float* out, float* g, size_t n);
+
+/// acc[c] += g[r, c] for r = 0, 1, ... in order, over a [rows, cols]
+/// row-major g (the bias gradient).
+void AddRows(const float* g, size_t rows, size_t cols, float* acc);
+
 /// Row-major GEMM: C[m,n] = A[m,k] * B[k,n] (+ C if accumulate).
 /// Cache-blocked and register-tiled (tensor/gemm.cc); every C element
 /// accumulates its k terms in ascending order regardless of tiling or

@@ -61,6 +61,12 @@ TEST(BenchSmokeTest, KernelGateWritesJsonContract) {
         "blocked_ms_256", "max_abs_diff_256"}) {
     EXPECT_FALSE(std::isnan(JsonNumber(json, key))) << "missing " << key;
   }
+  // Report-only rows at the trainers' GEMM shapes.
+  for (const char* key :
+       {"gflops_gemm_128x1024x1024", "gflops_gemm_ta_1024x128x1024",
+        "gflops_gemm_tb_128x1024x1024", "gflops_gemm_tb_16x512x512"}) {
+    EXPECT_GT(JsonNumber(json, key), 0.0) << "missing " << key;
+  }
   // Loose bound here (the hard >= 2.0 gate lives in scripts/perf_gate.sh):
   // the blocked kernel being outright slower at 256^3 means the build
   // regressed badly enough to fail the smoke test too.

@@ -63,9 +63,15 @@ std::vector<uint8_t> OracleEncode(const float* in, size_t n, int bits,
       if (a > scale) scale = a;
     }
     std::memcpy(out.data() + b * 4, &scale, 4);
-    const float inv = scale > 0.0f ? static_cast<float>(levels) / scale : 0.0f;
+    // A block whose levels / scale overflows is coded against
+    // scale * 2^64, its elements scaled by 2^64 first (both exact).
+    const bool tiny =
+        scale > 0.0f && std::isinf(static_cast<float>(levels) / scale);
+    const float pre = tiny ? 0x1p64f : 1.0f;
+    const float inv =
+        scale > 0.0f ? static_cast<float>(levels) / (scale * pre) : 0.0f;
     for (size_t i = begin; i < end; ++i) {
-      float v = in[i] * inv;
+      float v = (in[i] * pre) * inv;
       // inf * 0 or a NaN input: level 0. |v| can exceed levels by a
       // rounding of inv; the level is clamped to ±levels either way.
       if (std::isnan(v)) v = 0.0f;
@@ -109,15 +115,17 @@ std::vector<float> Gradient(size_t n, uint64_t seed) {
 
 /// Gradient plus blocks no training step should produce but the encoder
 /// must still treat alike in kernel and oracle: an inf, a NaN, and a run
-/// of subnormals whose scale overflows levels / scale.
+/// of subnormals whose levels / scale overflows (a tiny block).
 std::vector<float> GradientWithSpecials(size_t n, uint64_t seed) {
   auto v = Gradient(n, seed);
   if (n > 5000) {
     v[1500] = std::numeric_limits<float>::infinity();
     v[1600] = std::numeric_limits<float>::quiet_NaN();
     v[2700] = -std::numeric_limits<float>::infinity();
+    // Magnitudes between 0 and the block max, so the tiny-block prescale
+    // decides levels (±max and 0 code the same either way).
     for (size_t i = 4096; i < 5000; ++i) {
-      v[i] = static_cast<float>(static_cast<int>(i % 3) - 1) * 1e-42f;
+      v[i] = static_cast<float>(static_cast<int>(i % 7) - 3) * 1e-43f;
     }
   }
   return v;

@@ -82,6 +82,35 @@ TEST_P(QsgdParamTest, ErrorBoundedByStep) {
   }
 }
 
+TEST(QsgdCompressorTest, TinyScaleBlockErrorBoundedByStep) {
+  // A block whose max |x| is below levels / FLT_MAX (about 3.7e-37 at
+  // 8 bits): levels / scale overflows, and without the power-of-two
+  // prescale every nonzero element decoded to ±scale. With it, each
+  // element stays within one step of its input, at every rng draw and
+  // without one.
+  const QsgdCompressor codec(8, 512);
+  const int levels = 127;
+  std::vector<float> v(512, 0.0f);
+  v[0] = 1e-42f;
+  v[1] = 4e-43f;
+  v[2] = 1e-43f;
+  v[5] = -4e-43f;
+  const float scale = AbsMax(v.data(), v.size());
+  ASSERT_TRUE(std::isinf(static_cast<float>(levels) / scale));
+  std::vector<float> out(v.size());
+  for (uint64_t seed = 0; seed < 20; ++seed) {
+    Rng rng(seed);
+    ASSERT_TRUE(
+        RoundTrip(codec, v.data(), v.size(), seed == 0 ? nullptr : &rng,
+                  out.data())
+            .ok());
+    for (size_t i = 0; i < v.size(); ++i) {
+      EXPECT_LE(std::fabs(out[i] - v[i]), scale / levels)
+          << "seed=" << seed << " i=" << i << " got " << out[i];
+    }
+  }
+}
+
 TEST_P(QsgdParamTest, UnbiasedUnderStochasticRounding) {
   // Property: averaging many independent quantizations converges to the
   // input (QSGD's key guarantee, what makes it work without error
@@ -360,11 +389,12 @@ TEST(FactoryTest, CompressionRatiosOrdered) {
 
 // ----------------------------------------------- intra-op thread invariance
 
-// Every codec may split its blocks over the intra-op pool
+// Every codec may split its work over the intra-op pool
 // (base/parallel.h); the payload AND the decompressed output must be
 // byte-identical whether that pool has 1, 2 or 8 threads — including the
-// stochastic QSGD path, whose per-block rounding streams are derived from
-// a single rng draw and therefore do not depend on block execution order.
+// stochastic QSGD path, where each element's rounding draw is a counter
+// hash of (the call's one rng draw, the element's index), so no split of
+// the payload or execution order can move it.
 TEST(CompressorThreadInvarianceTest, RoundTripFuzzAcrossThreadCounts) {
   const char* specs[] = {"onebit", "qsgd8", "qsgd4",     "qsgd2",
                          "fp16",   "bf16",  "topk:0.05", "sketch:8"};
